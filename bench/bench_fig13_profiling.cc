@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   TextTable table;
   table.AddRow({"workload", "w/o profiling (ms)", "w/ profiling (ms)", "normalized ACT",
                 "profiling overhead"});
-  for (const std::string& workload : {"pr", "cc", "lr", "svdpp"}) {
+  for (const std::string workload : {"pr", "cc", "lr", "svdpp"}) {
     const BenchResult without = RunBench({workload, "blaze-noprofile"});
     const BenchResult with = RunBench({workload, "blaze"});
     table.AddRow({workload, Fmt(without.act_ms, 1), Fmt(with.act_ms, 1),

@@ -2,9 +2,9 @@
 //
 // Models one executor task slot under cache pressure: every task computes a
 // block (fixed simulated compute), then admits it to a small MemoryStore,
-// evicting an LRU victim to a throttled disk each time. With
-// sync_spill=true the evicting task pays the throttled write inline (the
-// pre-PR5 behaviour); with the async pipeline the write moves to the spill
+// evicting an LRU victim to a throttled disk each time. The sync baseline
+// calls BlockManager::SpillToDisk inline, so the evicting task pays the
+// throttled write; with the async pipeline the write moves to the spill
 // worker and the task only pays the enqueue. The headline number is the p50
 // per-task latency ratio between the two modes.
 //
@@ -43,8 +43,9 @@ struct ModeResult {
 
 // One task-slot's admission path: make room (LRU victim to disk), insert.
 // Mirrors PolicyCoordinator::EnsureSpace + BlockComputed without the
-// coordinator scaffolding.
-void AdmitWithEviction(BlockManager& bm, const BlockId& id, BlockPtr block) {
+// coordinator scaffolding. `inline_spill` skips the spill worker.
+void AdmitWithEviction(BlockManager& bm, const BlockId& id, BlockPtr block,
+                       bool inline_spill) {
   const uint64_t size = block->SizeBytes();
   while (bm.memory().free_bytes() < size) {
     auto entries = bm.memory().Entries();
@@ -59,8 +60,8 @@ void AdmitWithEviction(BlockManager& bm, const BlockId& id, BlockPtr block) {
     }
     const MemoryEntry& v = entries[victim];
     if (!bm.disk().Contains(v.id) && !bm.InFlightSpill(v.id)) {
-      if (!bm.SpillAsync(v.id, v.data)) {
-        bm.SpillToDisk(v.id, *v.data);  // queue full or sync_spill: pay inline
+      if (inline_spill || !bm.SpillAsync(v.id, v.data)) {
+        bm.SpillToDisk(v.id, *v.data);  // baseline or queue full: pay inline
       }
     }
     if (bm.memory().RemoveIfUnpinned(v.id) == 0) {
@@ -71,14 +72,13 @@ void AdmitWithEviction(BlockManager& bm, const BlockId& id, BlockPtr block) {
   (void)bm.memory().TryPut(id, std::move(block), size);
 }
 
-ModeResult RunMode(bool sync_spill, const std::filesystem::path& dir) {
+ModeResult RunMode(bool inline_spill, const std::filesystem::path& dir) {
   std::filesystem::remove_all(dir);
   RunMetrics metrics(1);
   BlockManagerConfig config;
   config.memory_capacity_bytes = kMemoryCapacity;
   config.disk_dir = dir;
   config.disk_throughput_bytes_per_sec = kDiskThroughput;
-  config.sync_spill = sync_spill;
   ModeResult result;
   std::vector<double> task_ms;
   task_ms.reserve(kTasks);
@@ -91,7 +91,8 @@ ModeResult RunMode(bool sync_spill, const std::filesystem::path& dir) {
       // spill worker its window to drain off-path writes.
       std::this_thread::sleep_for(kComputePerTask);
       BlockPtr block = MakeBlock(std::vector<int>(kBlockInts, static_cast<int>(t)));
-      AdmitWithEviction(bm, BlockId{1, static_cast<uint32_t>(t)}, std::move(block));
+      AdmitWithEviction(bm, BlockId{1, static_cast<uint32_t>(t)}, std::move(block),
+                        inline_spill);
       task_ms.push_back(task.ElapsedMillis());
     }
     bm.DrainSpills();
@@ -111,8 +112,8 @@ ModeResult RunMode(bool sync_spill, const std::filesystem::path& dir) {
 
 int main() {
   const auto base = std::filesystem::temp_directory_path() / "blaze_micro_storage";
-  const blaze::ModeResult sync_mode = blaze::RunMode(/*sync_spill=*/true, base / "sync");
-  const blaze::ModeResult async_mode = blaze::RunMode(/*sync_spill=*/false, base / "async");
+  const blaze::ModeResult sync_mode = blaze::RunMode(/*inline_spill=*/true, base / "sync");
+  const blaze::ModeResult async_mode = blaze::RunMode(/*inline_spill=*/false, base / "async");
 
   std::printf("micro_storage sync  p50_task_ms=%.2f total_ms=%.1f\n", sync_mode.p50_task_ms,
               sync_mode.total_ms);

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   TextTable table;
   table.AddRow({"system", "ACT", "recompute", "disk I/O", "evictions", "disk written"});
 
-  for (const std::string& system : {"MEM_ONLY Spark", "MEM+DISK Spark", "Blaze"}) {
+  for (const std::string system : {"MEM_ONLY Spark", "MEM+DISK Spark", "Blaze"}) {
     EngineContext engine(MakeConfig(params.scale));
     Stopwatch act;
     PageRankResult result;

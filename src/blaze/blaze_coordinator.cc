@@ -758,7 +758,7 @@ void BlazeCoordinator::RunIlpPlan(int job_id) {
             // d -> m prefetch: reload if the dataset is still alive and it
             // fits. Scheduled on the spill worker so the disk read overlaps
             // with the planning round and the job's first tasks; the sync path
-            // below is the sync_spill/full-queue fallback.
+            // below is the full-queue fallback.
             auto rdd = engine_->FindRdd(id.rdd_id);
             if (rdd == nullptr) {
               continue;

@@ -64,7 +64,6 @@ ProfilingResult ExtractDependencies(const std::function<void(EngineContext&)>& d
   config.threads_per_executor = threads_per_executor;
   config.memory_capacity_per_executor = GiB(4);  // effectively unbounded
   config.disk_throughput_bytes_per_sec = 0;
-  config.eviction_mode = EvictionMode::kMemOnly;
 
   EngineContext engine(config);
   CostLineage lineage;

@@ -128,7 +128,7 @@ void AlluxioCoordinator::BlockComputed(const RddBase& rdd, uint32_t partition,
     if (!bm.disk().Contains(entries[victim].id) && !bm.InFlightSpill(entries[victim].id)) {
       // RawBlock::EncodeTo emits the raw bytes verbatim, so the spill
       // worker's write produces the same file as the direct Put; only the
-      // full-queue / sync_spill fallback stays on the task path.
+      // full-queue fallback stays on the task path.
       if (!bm.SpillAsync(entries[victim].id, entries[victim].data)) {
         const DiskOpResult op = bm.disk().Put(entries[victim].id, victim_raw->bytes());
         engine_->metrics().RecordDiskStoreDelta(static_cast<int64_t>(op.bytes));

@@ -193,7 +193,7 @@ bool PolicyCoordinator::EnsureSpace(size_t executor, uint64_t needed, RddId inco
       // memory entry goes away so the write-claim read-through has no gap.
       spilled_async = bm.SpillAsync(victim.id, victim.data);
       if (!spilled_async) {
-        // Queue full or sync_spill: the evicting task pays the disk time.
+        // Queue full: the evicting task pays the disk time.
         tc.metrics().cache_disk_ms += bm.SpillToDisk(victim.id, *victim.data);
         tc.metrics().cache_disk_bytes_written += victim.size_bytes;
       }

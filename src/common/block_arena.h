@@ -14,7 +14,7 @@
 // SizeBytes(), and MemoryStore charges/releases exactly that recorded number
 // on Put/Remove — so the ledger balances to zero when every arena-backed
 // block is gone. TotalLiveBytes() is the process-wide sum of reserved chunk
-// bytes, sampled into RunMetrics as `arena_live_bytes`.
+// bytes, exported as the `arena.live_bytes` registry gauge.
 //
 // Only trivially-destructible element types may live in an arena: Release()
 // frees memory without running destructors.

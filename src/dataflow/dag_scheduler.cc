@@ -183,11 +183,6 @@ std::vector<DagScheduler::StagePlan> DagScheduler::PlanStages(
         }
       }
     }
-    if (engine_->config().serialize_stages && plan.stage_index > 0) {
-      // Kill switch: chain the stages linearly, restoring the pre-graph
-      // behavior of a full barrier between consecutive stages.
-      parents.insert(plan.stage_index - 1);
-    }
     plan.num_parents = static_cast<int>(parents.size());
     for (int parent : parents) {
       plans[parent].children.push_back(plan.stage_index);
@@ -506,7 +501,6 @@ void DagScheduler::FinishJob(const std::shared_ptr<internal::JobState>& job) {
   if (engine.config().shuffle_retention_jobs > 0) {
     engine.shuffle().DropStale(job->job_id, engine.config().shuffle_retention_jobs);
   }
-  engine.SyncArbiterMetrics();
   if (job->tenant != kNoTenant && engine.tenants() != nullptr) {
     // Releases the admission slot (when held) and wakes the longest-parked
     // queued submit of this tenant.

@@ -41,7 +41,7 @@ std::filesystem::path MakeUniqueDiskRoot() {
 EngineContext::EngineContext(const EngineConfig& config)
     : config_(config),
       metrics_(config.num_executors),
-      audit_(config.num_executors, config.audit_log_capacity) {
+      audit_(config.num_executors) {
   BLAZE_CHECK_GT(config.num_executors, 0u);
   if (config.disk_root.empty()) {
     disk_root_ = MakeUniqueDiskRoot();
@@ -55,9 +55,6 @@ EngineContext::EngineContext(const EngineConfig& config)
     bm_config.memory_capacity_bytes = config.memory_capacity_per_executor;
     bm_config.disk_dir = disk_root_ / ("executor_" + std::to_string(e));
     bm_config.disk_throughput_bytes_per_sec = config.disk_throughput_bytes_per_sec;
-    bm_config.shuffle_memory_fraction = config.shuffle_memory_fraction;
-    bm_config.sync_spill = config.sync_spill;
-    bm_config.spill_queue_depth = config.spill_queue_depth;
     executors_.push_back(
         std::make_unique<Executor>(e, bm_config, &metrics_, config.threads_per_executor));
   }
@@ -323,14 +320,6 @@ void EngineContext::DrainAllSpills() {
   }
 }
 
-void EngineContext::SyncArbiterMetrics() {
-  uint64_t overflow = 0;
-  for (const auto& executor : executors_) {
-    overflow += executor->block_manager.arbiter().execution_overflow_events();
-  }
-  metrics_.RecordShuffleOverflow(overflow);
-}
-
 size_t EngineContext::WorkerSlotFor(size_t executor) const {
   return remote_ == nullptr ? 0 : executor % remote_->num_workers();
 }
@@ -338,11 +327,8 @@ size_t EngineContext::WorkerSlotFor(size_t executor) const {
 void EngineContext::StartDistributed(size_t num_workers) {
   net::RemoteExecutorConfig rc;
   rc.num_workers = num_workers == 0 ? executors_.size() : num_workers;
-  rc.worker_memory_bytes = config_.worker_memory_bytes == 0
-                               ? config_.memory_capacity_per_executor
-                               : config_.worker_memory_bytes;
+  rc.worker_memory_bytes = config_.memory_capacity_per_executor;
   rc.disk_throughput_bytes_per_sec = config_.disk_throughput_bytes_per_sec;
-  rc.shuffle_memory_fraction = config_.shuffle_memory_fraction;
   rc.worker_binary = config_.worker_binary;
   rc.heartbeat_interval_ms = config_.heartbeat_interval_ms;
   rc.heartbeat_miss_limit = config_.heartbeat_miss_limit;

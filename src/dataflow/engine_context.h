@@ -40,7 +40,6 @@ struct EngineConfig {
   size_t threads_per_executor = 2;
   uint64_t memory_capacity_per_executor = 64ULL << 20;
   uint64_t disk_throughput_bytes_per_sec = 0;  // 0 = unthrottled
-  EvictionMode eviction_mode = EvictionMode::kMemAndDisk;
   // Root for per-executor disk stores; empty = unique directory under /tmp.
   std::filesystem::path disk_root;
   // Shuffle outputs untouched for this many jobs are dropped at job end
@@ -53,39 +52,19 @@ struct EngineConfig {
   // retries up to max_task_attempts, as Spark's TaskSetManager does.
   double task_failure_rate = 0.0;
   int max_task_attempts = 4;
-  // Cache-decision audit records retained per executor (flight-recorder ring).
-  size_t audit_log_capacity = 4096;
   // Pipelined narrow-stage execution: chains of one-parent narrow transforms
   // stream rows through composed operators instead of materializing a block
-  // per operator (off = the pre-fusion per-operator block behavior, kept as a
-  // kill switch and for A/B benchmarking).
+  // per operator (off = the per-operator block behavior, kept as the
+  // reference path for tests/mode_matrix_test.cc and for A/B benchmarking).
   bool enable_fusion = true;
-  // Chains every job's stages into a linear order (synthetic i -> i+1 edges),
-  // disabling sibling-stage overlap. Kill switch for the event-driven stage
-  // graph and the serial baseline for the scheduler microbench.
-  bool serialize_stages = false;
-  // Unified memory arbitration: fraction of executor memory that charged
-  // shuffle/execution bytes may displace from the cache bound (the capacity
-  // split; 0 makes shuffle accounting purely diagnostic).
-  double shuffle_memory_fraction = 0.2;
-  // Kill switch: evictions serialize+write on the evicting task's path (the
-  // pre-PR5 behavior) instead of the asynchronous spill worker.
-  bool sync_spill = false;
-  // Bound of the per-executor spill/fetch queue; a full queue falls back to
-  // the synchronous path (backpressure).
-  size_t spill_queue_depth = 32;
-  // Representation selection at cache admission: row types that opt in via
-  // BlazeColumns are cached as columnar (struct-of-arrays, arena-backed)
-  // blocks — bulk-copy serialization and one-shot teardown — while executing
-  // tasks keep consuming object rows. Kill switch for A/B and debugging.
-  bool enable_columnar = true;
   // Vectorized (batch-at-a-time) execution: fusable chains whose operators
   // all have columnar kernels run as tight per-column loops over ColumnBatch
   // views (selection vectors instead of row copies), reading cached columnar
   // blocks without row recomposition. Off = every chain takes the
   // row-at-a-time RowSink path and raw-copyable pair types stop being cached
-  // columnar (their layout only pays off with kernels). Kill switch for A/B
-  // benchmarking and debugging; results are identical either way.
+  // columnar (their layout only pays off with kernels). Kept as the reference
+  // path for tests/mode_matrix_test.cc and the vectorized CI floor; results
+  // are identical either way.
   bool enable_vectorized = true;
   // Live telemetry (MetricsExporter): -1 = no HTTP endpoints (default),
   // 0 = bind an ephemeral loopback port, >0 = bind that port. /metrics serves
@@ -105,7 +84,6 @@ struct EngineConfig {
   // BLAZE_WORKERS=N env var force-enables it with N workers.
   bool distributed = false;
   size_t num_workers = 0;            // 0 = one worker per executor
-  uint64_t worker_memory_bytes = 0;  // 0 = memory_capacity_per_executor
   int heartbeat_interval_ms = 250;
   int heartbeat_miss_limit = 4;      // consecutive misses before declaring loss
   std::string worker_binary;         // empty = discover next to the executable
@@ -224,10 +202,6 @@ class EngineContext {
   // writes committed, async fetches delivered. Used before coordinator
   // teardown/swap and by tests that assert on disk state.
   void DrainAllSpills();
-
-  // Folds per-executor arbiter/spill diagnostics (execution overflow events)
-  // into RunMetrics; the scheduler calls this at job end.
-  void SyncArbiterMetrics();
 
   // --- distributed mode -------------------------------------------------------
   // True when payloads live in worker processes (config.distributed or

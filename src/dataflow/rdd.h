@@ -61,9 +61,7 @@ class Rdd : public RddBase {
       // Layouts that only pay off under vectorized execution (raw-copyable
       // pairs) stay as object rows when the vectorized path is off: without
       // column kernels every memory hit would eat a recompose for nothing.
-      if (!this->context()->config().enable_columnar ||
-          (kColumnarNeedsVectorized<T> &&
-           !this->context()->config().enable_vectorized) ||
+      if ((kColumnarNeedsVectorized<T> && !this->context()->config().enable_vectorized) ||
           block->representation() != BlockRepresentation::kObjectRows) {
         return block;
       }

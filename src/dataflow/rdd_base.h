@@ -31,7 +31,9 @@ struct Dependency {
   // Shuffle-only fields:
   int shuffle_id = -1;
   size_t num_reduce = 0;
-  ShuffleBucketizer bucketizer;
+  // `{}` lets narrow deps be written `Dependency{parent}` without a
+  // -Wmissing-field-initializers warning (the build uses -Werror).
+  ShuffleBucketizer bucketizer{};
   // The bucketizer iterates rows representation-agnostically (ForEachRow), so
   // the map-stage terminal may be fetched without forcing a row decode
   // (TaskContext::GetColumnarForTask) — a cached columnar parent feeds the
@@ -85,7 +87,7 @@ class RddBase : public std::enable_shared_from_this<RddBase> {
   // block. Coordinators call this at admission; the executing task keeps the
   // object-row block it computed, only the cached copy changes form. The
   // default keeps the block as-is; Rdd<T> converts opted-in row types to the
-  // columnar arena-backed layout when EngineConfig::enable_columnar allows.
+  // columnar arena-backed layout.
   virtual BlockPtr CacheRepresentation(const BlockPtr& block) const { return block; }
 
  private:

@@ -61,7 +61,11 @@ inline constexpr uint32_t kNoAuditTenant = 0xFFFFFFFFu;
 
 class CacheAuditLog {
  public:
-  explicit CacheAuditLog(size_t num_executors, size_t capacity_per_executor = 4096);
+  // Records retained per executor before the ring overwrites the oldest.
+  static constexpr size_t kDefaultCapacityPerExecutor = 4096;
+
+  explicit CacheAuditLog(size_t num_executors,
+                         size_t capacity_per_executor = kDefaultCapacityPerExecutor);
 
   void Admit(uint32_t executor, uint32_t rdd_id, uint32_t partition, uint64_t size_bytes,
              bool to_disk, const char* policy, const char* reason,

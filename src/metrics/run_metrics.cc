@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/common/block_arena.h"
 #include "src/common/logging.h"
 #include "src/metrics/registry.h"
 
@@ -171,16 +170,7 @@ void RunMetrics::RecordSpillQueueReject() {
   ++snap_.spill_queue_rejects;
 }
 
-void RunMetrics::RecordSpillCancelled() {
-  telemetry_.spills_cancelled->Add();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++snap_.spills_cancelled;
-}
-
-void RunMetrics::RecordShuffleOverflow(uint64_t events) {
-  std::lock_guard<std::mutex> lock(mu_);
-  snap_.shuffle_overflow_events = std::max(snap_.shuffle_overflow_events, events);
-}
+void RunMetrics::RecordSpillCancelled() { telemetry_.spills_cancelled->Add(); }
 
 void RunMetrics::RecordColumnarBuild(uint64_t columnar_bytes, uint64_t row_bytes) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -201,8 +191,6 @@ RunMetricsSnapshot RunMetrics::Snapshot() const {
   out.task_run_hist = task_run_hist_.Snapshot();
   out.disk_io_hist = disk_io_hist_.Snapshot();
   out.ilp_wait_hist = ilp_wait_hist_.Snapshot();
-  // Live arena bytes are a process-wide gauge, sampled at snapshot time.
-  out.arena_live_bytes = BlockArena::TotalLiveBytes();
   return out;
 }
 

@@ -85,14 +85,11 @@ struct RunMetricsSnapshot {
   double async_fetch_ms = 0.0;
   uint64_t spill_queue_rejects = 0;  // full-queue fallbacks to synchronous spill
   uint64_t spill_queue_peak_depth = 0;
-  uint64_t spills_cancelled = 0;     // unpersist revoked an in-flight spill
-  uint64_t shuffle_overflow_events = 0;  // arbiter execution reservations past cap
   uint64_t columnar_blocks = 0;      // row->columnar conversions at admission
   uint64_t columnar_bytes = 0;       // those blocks' cached (columnar) footprint
   uint64_t columnar_row_bytes = 0;   // the same blocks' object-row footprint
   uint64_t columnar_decodes = 0;     // columnar->rows recompositions on the read path
   double columnar_decode_ms = 0.0;
-  uint64_t arena_live_bytes = 0;     // BlockArena::TotalLiveBytes() at snapshot time
   HistogramSnapshot task_run_hist;  // wall time per task
   HistogramSnapshot disk_io_hist;   // per spill/load operation
   HistogramSnapshot ilp_wait_hist;  // per task that blocked on a decision layer
@@ -120,8 +117,7 @@ class RunMetrics {
   void RecordAsyncFetch(double ms);             // one off-path disk load
   void RecordSpillQueueDepth(uint64_t depth);   // updates the peak
   void RecordSpillQueueReject();
-  void RecordSpillCancelled();
-  void RecordShuffleOverflow(uint64_t events);  // absolute count, not a delta
+  void RecordSpillCancelled();  // registry only (spill.cancelled)
   // One object-row -> columnar conversion at cache admission, with both
   // representations' byte sizes (per-representation size accounting).
   void RecordColumnarBuild(uint64_t columnar_bytes, uint64_t row_bytes);

@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -22,17 +23,32 @@ void SetError(std::string* error, const std::string& why) {
   }
 }
 
-bool SendAll(int fd, const uint8_t* data, size_t len) {
-  size_t sent = 0;
-  while (sent < len) {
-    const ssize_t n = ::send(fd, data + sent, len - sent, MSG_NOSIGNAL);
+// Sends every byte of the iovec array with as few syscalls as the kernel
+// allows: one sendmsg for a whole frame, resuming mid-iovec after a partial
+// write. One send per frame keeps Nagle from holding a small trailer back
+// until the peer's delayed ACK fires.
+bool SendAll(int fd, iovec* iov, size_t count) {
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) {
         continue;
       }
       return false;
     }
-    sent += static_cast<size_t>(n);
+    auto left = static_cast<size_t>(n);
+    while (count > 0 && left >= iov->iov_len) {
+      left -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<uint8_t*>(iov->iov_base) + left;
+      iov->iov_len -= left;
+    }
   }
   return true;
 }
@@ -69,9 +85,11 @@ bool WriteFrame(int fd, const uint8_t* payload, size_t len, std::string* error) 
   const uint32_t len32 = static_cast<uint32_t>(len);
   std::memcpy(header, &magic, 4);
   std::memcpy(header + 4, &len32, 4);
-  const uint32_t crc = Crc32(payload, len);
-  if (!SendAll(fd, header, sizeof(header)) || !SendAll(fd, payload, len) ||
-      !SendAll(fd, reinterpret_cast<const uint8_t*>(&crc), 4)) {
+  uint32_t crc = Crc32(payload, len);
+  iovec iov[3] = {{header, sizeof(header)},
+                  {const_cast<uint8_t*>(payload), len},
+                  {&crc, sizeof(crc)}};
+  if (!SendAll(fd, iov, 3)) {
     SetError(error, std::string("send: ") + std::strerror(errno));
     return false;
   }

@@ -127,8 +127,6 @@ bool RemoteExecutorSet::SpawnWorker(size_t slot, std::string* error) {
   const std::string mem_arg = "--mem=" + std::to_string(config_.worker_memory_bytes);
   const std::string bps_arg =
       "--disk-bps=" + std::to_string(config_.disk_throughput_bytes_per_sec);
-  const std::string frac_arg =
-      "--shuffle-frac=" + std::to_string(config_.shuffle_memory_fraction);
 
   const pid_t pid = ::fork();
   if (pid < 0) {
@@ -145,8 +143,7 @@ bool RemoteExecutorSet::SpawnWorker(size_t slot, std::string* error) {
     ::close(stdin_pipe[0]); ::close(stdin_pipe[1]);
     ::close(stdout_pipe[0]); ::close(stdout_pipe[1]);
     ::execl(worker_binary_.c_str(), worker_binary_.c_str(), slot_arg.c_str(),
-            mem_arg.c_str(), bps_arg.c_str(), frac_arg.c_str(),
-            static_cast<char*>(nullptr));
+            mem_arg.c_str(), bps_arg.c_str(), static_cast<char*>(nullptr));
     const char msg[] = "blaze_worker: exec failed\n";
     ::write(STDERR_FILENO, msg, sizeof(msg) - 1);
     ::_exit(127);

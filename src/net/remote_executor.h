@@ -41,7 +41,6 @@ struct RemoteExecutorConfig {
   size_t num_workers = 2;
   uint64_t worker_memory_bytes = 64ULL << 20;
   uint64_t disk_throughput_bytes_per_sec = 0;
-  double shuffle_memory_fraction = 0.2;
   std::string worker_binary;      // empty = discover next to this executable
   int heartbeat_interval_ms = 250;
   int heartbeat_miss_limit = 4;   // consecutive misses before declaring loss

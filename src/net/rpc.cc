@@ -1,5 +1,7 @@
 #include "src/net/rpc.h"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -69,6 +71,10 @@ void RpcServer::AcceptLoop() {
       return;
     }
     SetSocketTimeouts(fd, /*timeout_ms=*/30000);
+    // Responses are small frames written as soon as they are ready; without
+    // TCP_NODELAY Nagle can park one behind the client's delayed ACK.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     std::lock_guard<std::mutex> lock(conn_mu_);
     if (stopping_.load()) {
       ::close(fd);

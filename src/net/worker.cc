@@ -142,7 +142,6 @@ Worker::Worker(const WorkerConfig& config) : config_(config) {
     bm_config.disk_dir = config_.disk_dir;
   }
   bm_config.disk_throughput_bytes_per_sec = config_.disk_throughput_bytes_per_sec;
-  bm_config.shuffle_memory_fraction = config_.shuffle_memory_fraction;
   bm_ = std::make_unique<BlockManager>(config_.slot, bm_config, &metrics_);
 }
 
@@ -437,8 +436,6 @@ int WorkerMain(int argc, char** argv) {
       config.disk_dir = *v;
     } else if (auto v = value("--disk-bps=")) {
       config.disk_throughput_bytes_per_sec = std::stoull(*v);
-    } else if (auto v = value("--shuffle-frac=")) {
-      config.shuffle_memory_fraction = std::stod(*v);
     } else {
       std::fprintf(stderr, "blaze_worker: unknown flag %s\n", arg.c_str());
       return 2;

@@ -67,7 +67,6 @@ struct WorkerConfig {
   uint64_t memory_capacity_bytes = 64ULL << 20;
   std::filesystem::path disk_dir;               // empty = a fresh temp dir
   uint64_t disk_throughput_bytes_per_sec = 0;   // 0 = unthrottled
-  double shuffle_memory_fraction = 0.2;
 };
 
 class Worker;
@@ -166,7 +165,7 @@ class Worker {
 };
 
 // Entry point for tools/blaze_worker.cc. Flags: --port=N --slot=K
-// --mem=BYTES --disk-dir=PATH --disk-bps=N --shuffle-frac=F. Announces
+// --mem=BYTES --disk-dir=PATH --disk-bps=N. Announces
 // "BLAZE_WORKER_PORT <port>" on stdout once serving, then blocks until
 // stdin reaches EOF (the coordinator's lifeline pipe) or kShutdown arrives.
 int WorkerMain(int argc, char** argv);

@@ -12,11 +12,10 @@ BlockManager::BlockManager(size_t executor_id, const BlockManagerConfig& config,
     : executor_id_(executor_id),
       arbiter_(config.memory_capacity_bytes,
                static_cast<uint64_t>(static_cast<double>(config.memory_capacity_bytes) *
-                                     config.shuffle_memory_fraction)),
+                                     kExecutionMemoryFraction)),
       memory_(config.memory_capacity_bytes, &arbiter_),
       disk_(config.disk_dir, config.disk_throughput_bytes_per_sec),
       metrics_(metrics),
-      sync_spill_(config.sync_spill),
       spill_(std::make_unique<SpillQueue>(this, config.spill_queue_depth, metrics)) {}
 
 BlockManager::~BlockManager() {
@@ -25,9 +24,6 @@ BlockManager::~BlockManager() {
 }
 
 bool BlockManager::SpillAsync(const BlockId& id, BlockPtr data) {
-  if (sync_spill_) {
-    return false;
-  }
   return spill_->EnqueueSpill(id, std::move(data));
 }
 
@@ -40,9 +36,6 @@ bool BlockManager::CancelSpill(const BlockId& id) { return spill_->Cancel(id); }
 void BlockManager::DrainSpills() { spill_->Drain(); }
 
 bool BlockManager::FetchAsync(const BlockId& id, SpillQueue::FetchCallback on_loaded) {
-  if (sync_spill_) {
-    return false;
-  }
   return spill_->EnqueueFetch(id, std::move(on_loaded));
 }
 

@@ -7,8 +7,8 @@
 // byte ledger for cache blocks and shuffle/execution buffers — the memory
 // store's capacity bound shrinks as shuffle bytes are charged) and its
 // SpillQueue (asynchronous spill/fetch worker). SpillAsync/FetchAsync are the
-// off-path entry points; `sync_spill` in the config is the kill switch that
-// turns them off so coordinators fall back to the original synchronous path.
+// off-path entry points; when the queue is full they refuse and coordinators
+// fall back to the synchronous path (SpillToDisk / ReadFromDisk).
 #ifndef SRC_STORAGE_BLOCK_MANAGER_H_
 #define SRC_STORAGE_BLOCK_MANAGER_H_
 
@@ -29,10 +29,6 @@ struct BlockManagerConfig {
   uint64_t memory_capacity_bytes = 64ULL << 20;
   std::filesystem::path disk_dir;
   uint64_t disk_throughput_bytes_per_sec = 0;  // 0 = unthrottled
-  // Fraction of executor memory the arbiter lets shuffle/execution buffers
-  // charge against the cache bound (Spark's unified-memory execution share).
-  double shuffle_memory_fraction = 0.2;
-  bool sync_spill = false;       // kill switch: evictions block the task path
   size_t spill_queue_depth = 32;  // bounded; full queue falls back to sync
 };
 
@@ -55,7 +51,7 @@ class BlockManager {
 
   // Hands the victim to the spill worker; the write happens off the task
   // path. Returns false — caller must SpillToDisk synchronously — when the
-  // queue is full, the same id is mid-write, or sync_spill is set.
+  // queue is full or the same id is mid-write.
   bool SpillAsync(const BlockId& id, BlockPtr data);
 
   // The in-memory payload of a spill that has not committed yet (write-claim
@@ -71,8 +67,8 @@ class BlockManager {
   void DrainSpills();
 
   // Schedules an asynchronous disk read on the spill worker (recovery /
-  // promotion overlap). Returns false if sync_spill is set or the queue is
-  // full — caller reads synchronously.
+  // promotion overlap). Returns false if the queue is full — caller reads
+  // synchronously.
   bool FetchAsync(const BlockId& id, SpillQueue::FetchCallback on_loaded);
 
   // Depth of the spill/fetch queue right now (diagnostics).
@@ -113,7 +109,6 @@ class BlockManager {
   RunMetrics* metrics_;
   RemoteReadFn remote_read_;
   RemoteRemoveFn remote_remove_;
-  bool sync_spill_;
   std::unique_ptr<SpillQueue> spill_;  // constructed last, destroyed first
 };
 

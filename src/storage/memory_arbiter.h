@@ -14,8 +14,8 @@
 //                        and released when buckets are replaced or dropped.
 //
 // The cache's effective capacity is  capacity - min(execution, execution_cap):
-// execution pressure shrinks what the cache may hold, up to a configurable
-// split (EngineConfig::shuffle_memory_fraction), so a shuffle-heavy stage
+// execution pressure shrinks what the cache may hold, up to a fixed split
+// (kExecutionMemoryFraction of capacity, 0.2), so a shuffle-heavy stage
 // forces evictions instead of silently overcommitting the executor. The cap
 // keeps a pathological shuffle from starving the cache to zero — beyond the
 // cap, execution reservations are still *counted* (overflow diagnostics) but
@@ -38,6 +38,11 @@ namespace blaze {
 // single-tenant default). Untenanted bytes are charged to no share and are
 // never protected by a tenant's eviction floor.
 inline constexpr uint32_t kNoTenant = 0xFFFFFFFFu;
+
+// Share of an executor's memory that shuffle/execution bytes may displace
+// from the cache bound (Spark's unified-memory execution share). Every
+// BlockManager sizes its arbiter's execution cap with it.
+inline constexpr double kExecutionMemoryFraction = 0.2;
 
 class MemoryArbiter {
  public:

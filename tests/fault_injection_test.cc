@@ -14,7 +14,7 @@
 namespace blaze {
 namespace {
 
-int64_t RunWorkload(double failure_rate) {
+uint64_t RunWorkload(double failure_rate) {
   EngineConfig config;
   config.num_executors = 2;
   config.threads_per_executor = 2;
@@ -34,7 +34,7 @@ int64_t RunWorkload(double failure_rate) {
   base->Cache();
   auto reduced = ReduceByKey<uint32_t, int>(
       base, [](const int& a, const int& b) { return a + b; }, 4);
-  int64_t fingerprint = 0;
+  uint64_t fingerprint = 0;  // unsigned: the hash wraps by design
   for (int job = 0; job < 3; ++job) {
     for (const auto& [key, value] : reduced->Collect()) {
       fingerprint = fingerprint * 31 + key + value;
@@ -50,7 +50,7 @@ int64_t RunWorkload(double failure_rate) {
 }
 
 TEST(FaultInjectionTest, ResultsSurviveInjectedFailures) {
-  const int64_t clean = RunWorkload(0.0);
+  const uint64_t clean = RunWorkload(0.0);
   EXPECT_EQ(RunWorkload(0.2), clean);
   EXPECT_EQ(RunWorkload(0.5), clean);
 }

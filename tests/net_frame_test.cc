@@ -2,9 +2,12 @@
 // its envelope, and hostile bytes — truncated frames, corrupted payloads, bad
 // magic, oversize lengths, short message bodies — surface as clean errors
 // (false / nullopt), never as crashes or garbage decoded into engine state.
+// A live RpcServer keeps small round trips off the delayed-ACK tail.
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -15,6 +18,7 @@
 #include "src/common/crc32.h"
 #include "src/net/frame.h"
 #include "src/net/message.h"
+#include "src/net/rpc.h"
 #include "src/serialize/byte_buffer.h"
 
 namespace blaze::net {
@@ -164,6 +168,49 @@ TEST(FrameTest, ListenConnectRoundTrip) {
   ::close(fd);
   server.join();
   ::close(listen_fd);
+}
+
+// Small request/response round trips over a live RpcServer. A response
+// written in several sends on a socket without TCP_NODELAY waits for the
+// client's delayed ACK (~40 ms on Linux loopback), which lands in the tail.
+TEST(RpcTest, SmallRoundTripsDoNotStall) {
+  RpcServer server(0, [](const MessageHeader& header, ByteSource& body) {
+    const auto ping = HeartbeatMsg::Decode(body);
+    if (!ping.has_value()) {
+      return std::vector<uint8_t>{};
+    }
+    HeartbeatAckMsg ack;
+    ack.seq = ping->seq;
+    return EncodeEnvelope(MsgType::kHeartbeatAck, header.request_id, ack);
+  });
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  RpcClient client(server.port(), /*pool_size=*/1);
+
+  constexpr uint64_t kRoundTrips = 200;
+  std::vector<double> rtt_ms;
+  rtt_ms.reserve(kRoundTrips);
+  for (uint64_t i = 0; i < kRoundTrips; ++i) {
+    HeartbeatMsg ping;
+    ping.seq = i;
+    const uint64_t id = client.NextRequestId();
+    std::vector<uint8_t> response;
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.Call(EncodeEnvelope(MsgType::kHeartbeat, id, ping), &response, &error))
+        << error;
+    rtt_ms.push_back(
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+            .count());
+    ByteSource body(response);
+    ASSERT_TRUE(DecodeResponseHeader(response, id, &body).has_value());
+    const auto ack = HeartbeatAckMsg::Decode(body);
+    ASSERT_TRUE(ack.has_value());
+    EXPECT_EQ(ack->seq, i);
+  }
+  std::sort(rtt_ms.begin(), rtt_ms.end());
+  const double p50 = rtt_ms[rtt_ms.size() / 2];
+  const double p99 = rtt_ms[rtt_ms.size() * 99 / 100];
+  EXPECT_LT(p99, 20.0) << "p50=" << p50 << "ms p99=" << p99 << "ms";
 }
 
 // --- message round-trips ----------------------------------------------------

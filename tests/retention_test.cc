@@ -62,7 +62,7 @@ TEST(RetentionTest, ResultsSurviveAggressiveRetention) {
     auto reduced = ReduceByKey<uint32_t, int>(
         base, [](const int& a, const int& b) { return a + b; }, 4, "ret.reduce");
     reduced->Cache();
-    int64_t fingerprint = 0;
+    uint64_t fingerprint = 0;  // unsigned: the hash wraps by design
     for (int job = 0; job < 5; ++job) {
       auto derived = MapValues(
           reduced, [job](const int& v) { return v + job; }, "ret.derived");
@@ -73,7 +73,7 @@ TEST(RetentionTest, ResultsSurviveAggressiveRetention) {
     }
     return fingerprint;
   };
-  const int64_t keep_all = run(0);
+  const uint64_t keep_all = run(0);
   EXPECT_EQ(run(2), keep_all);
   EXPECT_EQ(run(1), keep_all);
 }

@@ -89,20 +89,6 @@ TEST(SchedulerGraphTest, SiblingMapStagesOfAJoinOverlap) {
       << right.min_start << "," << right.max_end << "]";
 }
 
-TEST(SchedulerGraphTest, SerializeStagesKillSwitchRestoresSerialOrder) {
-  EngineConfig config = SmallConfig();
-  config.serialize_stages = true;
-  EngineContext engine(config);
-  SpanRecorder left, right;
-  auto joined = SleepyJoin(&engine, &left, &right, /*sleep_ms=*/50);
-  EXPECT_EQ(joined->Collect().size(), 2u);
-  // Synthetic i -> i+1 edges: the second map stage starts only after the
-  // first completes, so the envelopes are disjoint by construction.
-  EXPECT_FALSE(Intersect(left, right))
-      << "left=[" << left.min_start << "," << left.max_end << "] right=["
-      << right.min_start << "," << right.max_end << "]";
-}
-
 // Coordinator that logs the scheduler's lifecycle callbacks.
 struct EventLog {
   enum Kind { kJobStart, kStageStart, kStageComplete, kJobEnd };

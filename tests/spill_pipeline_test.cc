@@ -1,7 +1,7 @@
 // Asynchronous spill/fetch pipeline and the pinned-block lifecycle: the
 // write-claim state machine (a block being spilled stays readable from
 // memory until the disk write commits), cancellation, drain, the bounded
-// queue's sync fallback, the sync_spill kill switch, and the invariant that
+// queue's sync fallback, and the invariant that
 // eviction can never free a block an executing task has pinned. The stress
 // tests are deliberately thread-heavy so a TSan build exercises the
 // SpillQueue and MemoryStore locking for real.
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/dataflow/typed_block.h"
+#include "src/metrics/registry.h"
 #include "src/storage/block_manager.h"
 #include "src/storage/memory_store.h"
 
@@ -83,18 +84,6 @@ TEST_F(SpillPipelineTest, InFlightSpillReadableUntilCommit) {
   EXPECT_TRUE(bm.disk().Contains(id));
 }
 
-TEST_F(SpillPipelineTest, SyncSpillKillSwitchDisablesQueue) {
-  RunMetrics metrics(1);
-  BlockManagerConfig config = Config();
-  config.sync_spill = true;
-  BlockManager bm(0, config, &metrics);
-  EXPECT_FALSE(bm.SpillAsync(BlockId{3, 0}, IntBlock(1, 10)));
-  EXPECT_FALSE(bm.FetchAsync(BlockId{3, 0}, [](auto, double) {}));
-  // The synchronous path is unaffected.
-  bm.SpillToDisk(BlockId{3, 0}, *IntBlock(1, 10));
-  EXPECT_TRUE(bm.disk().Contains(BlockId{3, 0}));
-}
-
 TEST_F(SpillPipelineTest, FullQueueRejectsAndCountsIt) {
   RunMetrics metrics(1);
   BlockManagerConfig config = Config(/*throughput=*/KiB(32));
@@ -114,6 +103,8 @@ TEST_F(SpillPipelineTest, FullQueueRejectsAndCountsIt) {
 }
 
 TEST_F(SpillPipelineTest, CancelQueuedSpillSkipsDiskWrite) {
+  const TelemetryCounter* cancelled = MetricsRegistry::Global().Counter("spill.cancelled");
+  const uint64_t cancelled_before = cancelled->Value();
   RunMetrics metrics(1);
   BlockManager bm(0, Config(/*throughput=*/KiB(64)), &metrics);
   const BlockId blocker{5, 0};
@@ -126,7 +117,7 @@ TEST_F(SpillPipelineTest, CancelQueuedSpillSkipsDiskWrite) {
   // Whether the cancel caught the item queued or mid-write, no disk copy of
   // the victim may survive the drain.
   EXPECT_FALSE(bm.disk().Contains(victim));
-  EXPECT_GE(metrics.Snapshot().spills_cancelled, 1u);
+  EXPECT_GE(cancelled->Value() - cancelled_before, 1u);
 }
 
 TEST_F(SpillPipelineTest, CancelAfterCommitIsANoOp) {

@@ -3,9 +3,11 @@
 # with ThreadSanitizer (BLAZE_SANITIZE=thread) in a separate build tree so
 # data races on the concurrent hot paths fail the pipeline, and once more
 # with AddressSanitizer (BLAZE_SANITIZE=address) over the storage/columnar
-# subset so arena lifetime bugs (use-after-release, chunk overruns) fail too.
+# subset so arena lifetime bugs (use-after-release, chunk overruns) fail too,
+# and with UndefinedBehaviorSanitizer (BLAZE_SANITIZE=undefined) over the full
+# suite, where any finding aborts the test that hit it.
 #
-# Usage: tools/ci.sh [plain|tsan|asan|all]   (default: all)
+# Usage: tools/ci.sh [plain|tsan|asan|ubsan|all]   (default: all)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -13,8 +15,8 @@ mode="${1:-all}"
 jobs="$(nproc)"
 
 case "$mode" in
-  plain|tsan|asan|all) ;;
-  *) echo "usage: tools/ci.sh [plain|tsan|asan|all]" >&2; exit 2 ;;
+  plain|tsan|asan|ubsan|all) ;;
+  *) echo "usage: tools/ci.sh [plain|tsan|asan|ubsan|all]" >&2; exit 2 ;;
 esac
 
 run_config() {
@@ -84,7 +86,7 @@ spill_smoke() {
 
 micro_storage_smoke() {
   # Async-spill win guard: p50 task latency with the spill worker must beat
-  # the sync_spill baseline by >= 1.3x (the binary enforces the bound).
+  # the inline-spill baseline by >= 1.3x (the binary enforces the bound).
   echo "=== [plain] micro-storage spill pipeline guard ==="
   BLAZE_MICRO_STORAGE_MIN_SPEEDUP=1.3 ./build/bench/bench_micro_storage
 }
@@ -250,6 +252,13 @@ if [[ "$mode" == "asan" || "$mode" == "all" ]]; then
     ctest --test-dir build-asan --output-on-failure -j "$jobs" \
       -R 'columnar_arena|storage|spill_pipeline|memory_arbiter|serialize|dataflow|fusion|vectorized'
   ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" spill_smoke build-asan
+fi
+
+if [[ "$mode" == "ubsan" || "$mode" == "all" ]]; then
+  # UBSan leg over the full suite. -fno-sanitize-recover makes every finding
+  # fatal, so a report fails the test that produced it.
+  UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
+    run_config ubsan build-ubsan -DBLAZE_SANITIZE=undefined -DCMAKE_BUILD_TYPE=RelWithDebInfo
 fi
 
 echo "CI OK ($mode)"
