@@ -77,42 +77,7 @@ void BlazeCoordinator::OnStageComplete(const StageInfo& stage) {
 
 std::optional<BlockPtr> BlazeCoordinator::Lookup(const RddBase& rdd, uint32_t partition,
                                                  TaskContext& tc) {
-  const BlockId id{rdd.id(), partition};
-  const size_t executor = engine_->ExecutorFor(partition);
-  BlockManager& bm = engine_->block_manager(executor);
-  if (auto hit = bm.memory().GetAndPin(id)) {
-    // Pinned until the task ends: eviction cannot free it mid-task.
-    tc.RegisterPin(executor, id);
-    engine_->metrics().RecordCacheHit(/*from_memory=*/true);
-    TRACE_EVENT("cache.hit", "cache", trace::TArg("rdd", id.rdd_id),
-                trace::TArg("part", id.partition), trace::TArg("tier", "memory"));
-    return hit;
-  }
-  // Eviction write still in flight: serve the live payload from the spill
-  // queue's write-claim instead of paying a disk read or a recompute.
-  if (auto in_flight = bm.InFlightSpill(id)) {
-    engine_->metrics().RecordCacheHit(/*from_memory=*/true);
-    TRACE_EVENT("cache.hit", "cache", trace::TArg("rdd", id.rdd_id),
-                trace::TArg("part", id.partition), trace::TArg("tier", "spill_queue"));
-    return in_flight;
-  }
-  if (options_.use_disk) {
-    double read_ms = 0.0;
-    if (auto bytes = bm.ReadFromDisk(id, &read_ms)) {
-      Stopwatch decode_watch;
-      ByteSource src(*bytes);
-      BlockPtr block = rdd.DecodeBlock(src);
-      tc.metrics().cache_disk_ms += read_ms + decode_watch.ElapsedMillis();
-      tc.metrics().cache_disk_bytes_read += bytes->size();
-      engine_->metrics().RecordCacheHit(/*from_memory=*/false);
-      TRACE_EVENT("cache.hit", "cache", trace::TArg("rdd", id.rdd_id),
-                  trace::TArg("part", id.partition), trace::TArg("tier", "disk"));
-      return block;
-    }
-  }
-  TRACE_EVENT("cache.miss", "cache", trace::TArg("rdd", id.rdd_id),
-              trace::TArg("part", id.partition));
-  return std::nullopt;
+  return tc.ReadCached(rdd, partition, options_.use_disk);
 }
 
 double BlazeCoordinator::VictimCost(CostEstimator& estimator, const BlockId& id) const {
@@ -147,35 +112,14 @@ bool BlazeCoordinator::DiskHasRoom(size_t executor, uint64_t bytes) const {
 }
 
 bool BlazeCoordinator::EvictBlock(size_t executor, const MemoryEntry& victim, bool spill,
-                                  TaskContext* tc, const char* reason, double score,
+                                  TaskMetrics* charge, const char* reason, double score,
                                   uint32_t candidates) {
-  BlockManager& bm = engine_->block_manager(executor);
-  spill = spill && DiskHasRoom(executor, victim.size_bytes);
-  const bool to_disk = spill && options_.use_disk;
-  bool spilled_async = false;
-  if (to_disk && !bm.disk().Contains(victim.id) && !bm.InFlightSpill(victim.id)) {
-    // Off the task path when the spill worker accepts; otherwise the evicting
-    // task (when there is one) pays the serialize+write synchronously.
-    spilled_async = bm.SpillAsync(victim.id, victim.data);
-    if (!spilled_async) {
-      const double ms = bm.SpillToDisk(victim.id, *victim.data);
-      if (tc != nullptr) {
-        tc->metrics().cache_disk_ms += ms;
-        tc->metrics().cache_disk_bytes_written += victim.size_bytes;
-      }
-    }
-  }
-  if (bm.memory().RemoveIfUnpinned(victim.id) == 0) {
-    // Pinned by an executing task (or already gone): eviction refused; the
-    // queued write would only duplicate a still-resident block.
-    if (spilled_async) {
-      bm.CancelSpill(victim.id);
-    }
-    return false;
+  const bool to_disk = spill && options_.use_disk && DiskHasRoom(executor, victim.size_bytes);
+  if (!engine_->block_manager(executor).Evict(victim, to_disk, charge)) {
+    return false;  // pinned by an executing task (or already gone)
   }
   lineage_.SetState(victim.id.rdd_id, victim.id.partition,
                     to_disk ? PartitionState::kDisk : PartitionState::kNone);
-  engine_->metrics().RecordEviction(executor, victim.size_bytes, to_disk);
   engine_->audit().Evict(static_cast<uint32_t>(executor), victim.id.rdd_id,
                          victim.id.partition, victim.size_bytes, to_disk,
                          options_.cost_aware_eviction ? "BlazeCost" : "BlazeLRU", reason,
@@ -201,7 +145,7 @@ bool BlazeCoordinator::EnsureSpace(size_t executor, uint64_t needed, double inco
   // Rank victims: cheapest potential recovery first (cost-aware modes) or LRU
   // (+AutoCache). Then take victims until the incoming block fits. Pinned
   // entries are excluded: an executing task still references them and
-  // RemoveIfUnpinned would refuse the eviction anyway. In multi-tenant mode
+  // the eviction would be refused anyway. In multi-tenant mode
   // blocks referenced by more than one tenant ("cross-tenant hot") sort
   // behind everything else, so they are the last candidates any scan touches.
   const TenantRegistry* tenants = engine_->tenants();
@@ -282,7 +226,7 @@ bool BlazeCoordinator::EnsureSpace(size_t executor, uint64_t needed, double inco
     const double score = options_.cost_aware_eviction
                              ? VictimCost(estimator, victim.id)
                              : static_cast<double>(victim.last_access_seq);
-    EvictBlock(executor, victim, spill, &tc, "displaced_by_admission", score,
+    EvictBlock(executor, victim, spill, &tc.metrics(), "displaced_by_admission", score,
                static_cast<uint32_t>(entries.size()));
   }
   // Re-check: an eviction may have been refused (victim pinned after the
@@ -339,16 +283,7 @@ void BlazeCoordinator::BlockComputed(const RddBase& rdd, uint32_t partition,
                           MakeShuffleAvailability());
   const BlockCost cost = estimator.Estimate(rdd.id(), partition);
 
-  // Multi-tenant charging: the cached bytes land on the dataset owner's
-  // ledger (first-toucher; shared datasets are charged once), falling back to
-  // the computing task's tenant for datasets the registry has not seen.
-  uint32_t owner = kNoTenant;
-  if (const TenantRegistry* tenants = engine_->tenants(); tenants != nullptr) {
-    owner = tenants->OwnerOf(rdd.id());
-    if (owner == kNoTenant) {
-      owner = tc.tenant();
-    }
-  }
+  const uint32_t owner = tc.CacheOwner(rdd);
 
   // A memory placement decided by the ILP plan was already justified against
   // the whole executor's universe, so the local admission comparison is
@@ -373,13 +308,7 @@ void BlazeCoordinator::BlockComputed(const RddBase& rdd, uint32_t partition,
   if (spill && options_.ilp && desired != PartitionState::kDisk) {
     spill = cost.cost_d_ms < cost.cost_r_ms;
   }
-  if (spill && !bm.disk().Contains(id) && !bm.InFlightSpill(id)) {
-    // Prefer the off-path write; until it commits, lookups are served from
-    // the spill queue's write-claim.
-    if (!bm.SpillAsync(id, cached)) {
-      tc.metrics().cache_disk_ms += bm.SpillToDisk(id, *cached);
-      tc.metrics().cache_disk_bytes_written += size;
-    }
+  if (spill && bm.WriteToDisk(id, cached, &tc.metrics())) {
     lineage_.SetState(rdd.id(), partition, PartitionState::kDisk);
     engine_->metrics().RecordEviction(executor, size, /*to_disk=*/true);
     engine_->audit().Admit(static_cast<uint32_t>(executor), id.rdd_id, id.partition, size,
@@ -414,18 +343,10 @@ void BlazeCoordinator::UnpersistRdd(const RddBase& rdd) {
   for (uint32_t p = 0; p < rdd.num_partitions(); ++p) {
     const size_t executor = engine_->ExecutorFor(p);
     std::lock_guard<std::mutex> lock(*executor_mu_[executor]);
-    BlockManager& bm = engine_->block_manager(executor);
-    const BlockId id{rdd.id(), p};
-    const bool resident = bm.memory().Contains(id) || bm.disk().Contains(id) ||
-                          bm.InFlightSpill(id).has_value();
-    // Revoke any in-flight spill first so a late commit cannot resurrect the
-    // unpersisted block on disk.
-    bm.CancelSpill(id);
-    bm.RemoveFromMemory(id);
-    bm.RemoveFromDisk(id);
+    const bool resident = engine_->block_manager(executor).Drop(BlockId{rdd.id(), p});
     lineage_.SetState(rdd.id(), p, PartitionState::kNone);
     if (resident) {
-      engine_->audit().Unpersist(static_cast<uint32_t>(executor), id.rdd_id, id.partition,
+      engine_->audit().Unpersist(static_cast<uint32_t>(executor), rdd.id(), p,
                                  /*size_bytes=*/0, "Blaze", "user_unpersist", owner);
     }
   }

@@ -78,12 +78,12 @@ class BlazeCoordinator : public CacheCoordinator {
   // `incoming_cost` (paper §4.1's admission comparison). Executor lock held.
   bool EnsureSpace(size_t executor, uint64_t needed, double incoming_cost, TaskContext& tc);
 
-  // Spills or discards one resident victim; updates lineage state, metrics,
-  // and the cache audit log (reason/score/candidates describe the decision).
-  // The write goes to the spill worker when it has room (off the task path);
-  // otherwise the caller's task pays it synchronously. Returns false when the
-  // eviction was refused because the victim is pinned by an executing task.
-  bool EvictBlock(size_t executor, const MemoryEntry& victim, bool spill, TaskContext* tc,
+  // Spills or discards one resident victim through BlockManager::Evict (the
+  // disk budget can veto the spill); on success updates lineage state and
+  // the cache audit log (reason/score/candidates describe the decision).
+  // Synchronous write time is charged to `charge` (nullable). Returns false
+  // when the eviction was refused because an executing task pinned the victim.
+  bool EvictBlock(size_t executor, const MemoryEntry& victim, bool spill, TaskMetrics* charge,
                   const char* reason, double score, uint32_t candidates);
 
   // True if `bytes` more fit under the optional disk budget.

@@ -39,43 +39,26 @@ AlluxioCoordinator::AlluxioCoordinator(EngineContext* engine) : engine_(engine) 
 
 std::optional<BlockPtr> AlluxioCoordinator::Lookup(const RddBase& rdd, uint32_t partition,
                                                    TaskContext& tc) {
-  const BlockId id{rdd.id(), partition};
   const size_t executor = engine_->ExecutorFor(partition);
-  if (auto hit = mem_tier_[executor]->Get(id)) {
-    // Memory-tier hit still pays deserialization: Alluxio hands bytes to Spark.
-    Stopwatch decode_watch;
-    const auto* raw = dynamic_cast<const RawBlock*>(hit->get());
-    BLAZE_CHECK(raw != nullptr);
-    ByteSource src(raw->bytes());
-    BlockPtr block = rdd.DecodeBlock(src);
-    tc.metrics().cache_disk_ms += decode_watch.ElapsedMillis();
+  std::optional<BlockPtr> hit = mem_tier_[executor]->Get(BlockId{rdd.id(), partition});
+  if (hit) {
     engine_->metrics().RecordCacheHit(/*from_memory=*/true);
-    return block;
+  } else {
+    // Evicted from the memory tier: a spill still in flight serves the
+    // serialized payload, the disk tier an already decoded block.
+    hit = tc.ReadCached(rdd, partition, /*use_disk=*/true);
   }
-  BlockManager& bm = engine_->block_manager(executor);
-  // Evicted from the memory tier but the disk write has not committed yet:
-  // the spill queue still holds the serialized payload.
-  if (auto in_flight = bm.InFlightSpill(id)) {
-    Stopwatch decode_watch;
-    const auto* raw = dynamic_cast<const RawBlock*>(in_flight->get());
-    BLAZE_CHECK(raw != nullptr);
-    ByteSource src(raw->bytes());
-    BlockPtr block = rdd.DecodeBlock(src);
-    tc.metrics().cache_disk_ms += decode_watch.ElapsedMillis();
-    engine_->metrics().RecordCacheHit(/*from_memory=*/true);
-    return block;
+  if (!hit || (*hit)->representation() != BlockRepresentation::kEncoded) {
+    return hit;
   }
-  double read_ms = 0.0;
-  if (auto bytes = bm.ReadFromDisk(id, &read_ms)) {
-    Stopwatch decode_watch;
-    ByteSource src(*bytes);
-    BlockPtr block = rdd.DecodeBlock(src);
-    tc.metrics().cache_disk_ms += read_ms + decode_watch.ElapsedMillis();
-    tc.metrics().cache_disk_bytes_read += bytes->size();
-    engine_->metrics().RecordCacheHit(/*from_memory=*/false);
-    return block;
-  }
-  return std::nullopt;
+  // A serialized hit still pays deserialization: Alluxio hands bytes to Spark.
+  Stopwatch decode_watch;
+  const auto* raw = dynamic_cast<const RawBlock*>(hit->get());
+  BLAZE_CHECK(raw != nullptr);
+  ByteSource src(raw->bytes());
+  BlockPtr block = rdd.DecodeBlock(src);
+  tc.metrics().cache_disk_ms += decode_watch.ElapsedMillis();
+  return block;
 }
 
 void AlluxioCoordinator::BlockComputed(const RddBase& rdd, uint32_t partition,
@@ -101,16 +84,15 @@ void AlluxioCoordinator::BlockComputed(const RddBase& rdd, uint32_t partition,
 
   const uint64_t size = raw->SizeBytes();
   BlockManager& bm = engine_->block_manager(executor);
+  // RawBlock::EncodeTo emits its bytes verbatim, so every disk-tier write
+  // below stores exactly the serialized payload.
   if (size > tier.capacity_bytes()) {
     // Straight to the disk tier.
-    const DiskOpResult op = bm.disk().Put(id, raw->bytes());
-    engine_->metrics().RecordDiskStoreDelta(static_cast<int64_t>(op.bytes));
-    engine_->metrics().RecordDiskIo(op.elapsed_ms);
-    tc.metrics().cache_disk_ms += op.elapsed_ms;
-    tc.metrics().cache_disk_bytes_written += op.bytes;
-    engine_->metrics().RecordEviction(executor, size, /*to_disk=*/true);
-    engine_->audit().Admit(static_cast<uint32_t>(executor), id.rdd_id, id.partition, size,
-                           /*to_disk=*/true, "AlluxioLRU", "exceeds_tier_capacity");
+    if (bm.WriteToDisk(id, raw, &tc.metrics())) {
+      engine_->metrics().RecordEviction(executor, size, /*to_disk=*/true);
+      engine_->audit().Admit(static_cast<uint32_t>(executor), id.rdd_id, id.partition, size,
+                             /*to_disk=*/true, "AlluxioLRU", "exceeds_tier_capacity");
+    }
     return;
   }
   // LRU-evict serialized victims from the memory tier to the disk tier.
@@ -123,20 +105,7 @@ void AlluxioCoordinator::BlockComputed(const RddBase& rdd, uint32_t partition,
         victim = i;
       }
     }
-    const auto* victim_raw = dynamic_cast<const RawBlock*>(entries[victim].data.get());
-    BLAZE_CHECK(victim_raw != nullptr);
-    if (!bm.disk().Contains(entries[victim].id) && !bm.InFlightSpill(entries[victim].id)) {
-      // RawBlock::EncodeTo emits the raw bytes verbatim, so the spill
-      // worker's write produces the same file as the direct Put; only the
-      // full-queue fallback stays on the task path.
-      if (!bm.SpillAsync(entries[victim].id, entries[victim].data)) {
-        const DiskOpResult op = bm.disk().Put(entries[victim].id, victim_raw->bytes());
-        engine_->metrics().RecordDiskStoreDelta(static_cast<int64_t>(op.bytes));
-        engine_->metrics().RecordDiskIo(op.elapsed_ms);
-        tc.metrics().cache_disk_ms += op.elapsed_ms;
-        tc.metrics().cache_disk_bytes_written += op.bytes;
-      }
-    }
+    bm.WriteToDisk(entries[victim].id, entries[victim].data, &tc.metrics());
     tier.Remove(entries[victim].id);
     engine_->metrics().RecordEviction(executor, entries[victim].size_bytes, /*to_disk=*/true);
     engine_->audit().Evict(static_cast<uint32_t>(executor), entries[victim].id.rdd_id,
@@ -159,13 +128,9 @@ void AlluxioCoordinator::UnpersistRdd(const RddBase& rdd) {
     const size_t executor = engine_->ExecutorFor(p);
     std::lock_guard<std::mutex> lock(*executor_mu_[executor]);
     const BlockId id{rdd.id(), p};
-    BlockManager& bm = engine_->block_manager(executor);
-    const bool resident = mem_tier_[executor]->Contains(id) || bm.disk().Contains(id) ||
-                          bm.InFlightSpill(id).has_value();
-    bm.CancelSpill(id);
+    const bool in_tier = mem_tier_[executor]->Contains(id);
     mem_tier_[executor]->Remove(id);
-    bm.RemoveFromDisk(id);
-    if (resident) {
+    if (engine_->block_manager(executor).Drop(id) || in_tier) {
       engine_->audit().Unpersist(static_cast<uint32_t>(executor), id.rdd_id, id.partition,
                                  /*size_bytes=*/0, "AlluxioLRU", "user_unpersist");
     }

@@ -2,9 +2,6 @@
 
 #include <utility>
 
-#include "src/common/logging.h"
-#include "src/common/stopwatch.h"
-#include "src/common/trace.h"
 #include "src/dataflow/task_context.h"
 
 namespace blaze {
@@ -96,50 +93,14 @@ void PolicyCoordinator::OnStageComplete(const StageInfo& stage) {
 
 std::optional<BlockPtr> PolicyCoordinator::Lookup(const RddBase& rdd, uint32_t partition,
                                                   TaskContext& tc) {
-  const BlockId id{rdd.id(), partition};
-  const size_t executor = engine_->ExecutorFor(partition);
-  BlockManager& bm = engine_->block_manager(executor);
-  if (auto hit = bm.memory().GetAndPin(id)) {
-    // Pinned for the task's lifetime: eviction (RemoveIfUnpinned) cannot free
-    // this data while the task still references it.
-    tc.RegisterPin(executor, id);
-    engine_->metrics().RecordCacheHit(/*from_memory=*/true);
-    TRACE_EVENT("cache.hit", "cache", trace::TArg("rdd", id.rdd_id),
-                trace::TArg("part", id.partition), trace::TArg("tier", "memory"));
-    return hit;
-  }
-  // Evicted but not yet committed to disk: the spill queue's write-claim still
-  // holds the live payload — serve it from memory instead of waiting for (or
-  // re-reading) the disk write.
-  if (auto in_flight = bm.InFlightSpill(id)) {
-    engine_->metrics().RecordCacheHit(/*from_memory=*/true);
-    TRACE_EVENT("cache.hit", "cache", trace::TArg("rdd", id.rdd_id),
-                trace::TArg("part", id.partition), trace::TArg("tier", "spill_queue"));
-    return in_flight;
-  }
-  if (mode_ == EvictionMode::kMemAndDisk) {
-    double read_ms = 0.0;
-    if (auto bytes = bm.ReadFromDisk(id, &read_ms)) {
-      Stopwatch decode_watch;
-      ByteSource src(*bytes);
-      BlockPtr block = rdd.DecodeBlock(src);
-      tc.metrics().cache_disk_ms += read_ms + decode_watch.ElapsedMillis();
-      tc.metrics().cache_disk_bytes_read += bytes->size();
-      engine_->metrics().RecordCacheHit(/*from_memory=*/false);
-      TRACE_EVENT("cache.hit", "cache", trace::TArg("rdd", id.rdd_id),
-                  trace::TArg("part", id.partition), trace::TArg("tier", "disk"));
-      return block;
-    }
-  }
-  TRACE_EVENT("cache.miss", "cache", trace::TArg("rdd", id.rdd_id),
-              trace::TArg("part", id.partition));
-  // Full miss: learning policies observe it as potential regret. (The policy
-  // state is guarded by the digest mutex, like SelectVictim calls.)
-  {
+  auto hit = tc.ReadCached(rdd, partition, mode_ == EvictionMode::kMemAndDisk);
+  if (!hit) {
+    // Full miss: learning policies observe it as potential regret. (The policy
+    // state is guarded by the digest mutex, like SelectVictim calls.)
     std::lock_guard<std::mutex> lock(digest_mu_);
-    policy_->OnCacheMiss(id);
+    policy_->OnCacheMiss(BlockId{rdd.id(), partition});
   }
-  return std::nullopt;
+  return hit;
 }
 
 bool PolicyCoordinator::EnsureSpace(size_t executor, uint64_t needed, RddId incoming_rdd,
@@ -148,7 +109,7 @@ bool PolicyCoordinator::EnsureSpace(size_t executor, uint64_t needed, RddId inco
   const TenantRegistry* tenants = engine_->tenants();
   while (bm.memory().free_bytes() < needed) {
     // Pinned entries are not eviction candidates: an executing task still
-    // references them, and RemoveIfUnpinned would refuse anyway. In
+    // references them, and the eviction would be refused anyway. In
     // multi-tenant mode the candidate set also honours the eviction floor
     // (another tenant's block is fair game only while that tenant is over its
     // arbiter share — a live-ledger check that stays consistent across loop
@@ -185,29 +146,9 @@ bool PolicyCoordinator::EnsureSpace(size_t executor, uint64_t needed, RddId inco
     }
     const MemoryEntry& victim = candidates[victim_index];
     const bool to_disk = mode_ == EvictionMode::kMemAndDisk;
-    const bool needs_write =
-        to_disk && !bm.disk().Contains(victim.id) && !bm.InFlightSpill(victim.id);
-    bool spilled_async = false;
-    if (needs_write) {
-      // Off-path eviction: hand the payload to the spill worker before the
-      // memory entry goes away so the write-claim read-through has no gap.
-      spilled_async = bm.SpillAsync(victim.id, victim.data);
-      if (!spilled_async) {
-        // Queue full: the evicting task pays the disk time.
-        tc.metrics().cache_disk_ms += bm.SpillToDisk(victim.id, *victim.data);
-        tc.metrics().cache_disk_bytes_written += victim.size_bytes;
-      }
+    if (!bm.Evict(victim, to_disk, &tc.metrics())) {
+      continue;  // pinned since the snapshot: re-snapshot and pick another
     }
-    if (bm.memory().RemoveIfUnpinned(victim.id) == 0) {
-      // The victim got pinned (or removed) between the snapshot and now; its
-      // payload stays resident, so the queued write is pointless. (A sync
-      // write that already landed just leaves a redundant disk copy.)
-      if (spilled_async) {
-        bm.CancelSpill(victim.id);
-      }
-      continue;  // re-snapshot and pick another victim
-    }
-    engine_->metrics().RecordEviction(executor, victim.size_bytes, to_disk);
     engine_->audit().Evict(static_cast<uint32_t>(executor), victim.id.rdd_id,
                            victim.id.partition, victim.size_bytes, to_disk, policy_->name(),
                            "capacity_pressure",
@@ -226,7 +167,6 @@ void PolicyCoordinator::BlockComputed(const RddBase& rdd, uint32_t partition,
   const BlockId id{rdd.id(), partition};
   const size_t executor = engine_->ExecutorFor(partition);
   BlockManager& bm = engine_->block_manager(executor);
-  const TenantRegistry* tenants = engine_->tenants();
   std::lock_guard<std::mutex> lock(*executor_mu_[executor]);
   if (bm.memory().Contains(id)) {
     return;
@@ -236,16 +176,7 @@ void PolicyCoordinator::BlockComputed(const RddBase& rdd, uint32_t partition,
   // holds. Size, admission, and any disk write all use the cached form.
   const BlockPtr cached = rdd.CacheRepresentation(block);
   const uint64_t size = cached->SizeBytes();
-  // Multi-tenant charging: bytes land on the dataset owner's ledger
-  // (first-toucher; a shared dataset is charged once), falling back to the
-  // computing task's tenant when the registry has not seen the dataset.
-  uint32_t owner = kNoTenant;
-  if (tenants != nullptr) {
-    owner = tenants->OwnerOf(rdd.id());
-    if (owner == kNoTenant) {
-      owner = tc.tenant();
-    }
-  }
+  const uint32_t owner = tc.CacheOwner(rdd);
   // TryPut, not Put: with the arbiter attached the cache bound moves under
   // concurrent shuffle reservations, so the headroom EnsureSpace freed can
   // legitimately be gone by the time the insert lands.
@@ -256,10 +187,9 @@ void PolicyCoordinator::BlockComputed(const RddBase& rdd, uint32_t partition,
                            /*to_disk=*/false, policy_->name(), "annotated", owner);
     return;
   }
-  // Does not fit in memory at all: MEM_AND_DISK stores it straight on disk.
-  if (mode_ == EvictionMode::kMemAndDisk && !bm.disk().Contains(id)) {
-    tc.metrics().cache_disk_ms += bm.SpillToDisk(id, *cached);
-    tc.metrics().cache_disk_bytes_written += size;
+  // Not admitted (too large, or no victim outside this dataset):
+  // MEM_AND_DISK stores it straight on disk.
+  if (mode_ == EvictionMode::kMemAndDisk && bm.WriteToDisk(id, cached, &tc.metrics())) {
     engine_->metrics().RecordEviction(executor, size, /*to_disk=*/true);
     engine_->audit().Admit(static_cast<uint32_t>(executor), id.rdd_id, id.partition, size,
                            /*to_disk=*/true, policy_->name(), "exceeds_memory_capacity",
@@ -277,17 +207,8 @@ void PolicyCoordinator::UnpersistRdd(const RddBase& rdd) {
   for (uint32_t p = 0; p < rdd.num_partitions(); ++p) {
     const size_t executor = engine_->ExecutorFor(p);
     std::lock_guard<std::mutex> lock(*executor_mu_[executor]);
-    BlockManager& bm = engine_->block_manager(executor);
-    const BlockId id{rdd.id(), p};
-    const bool resident = bm.memory().Contains(id) || bm.disk().Contains(id) ||
-                          bm.InFlightSpill(id).has_value();
-    // Revoke any queued/in-flight spill first: a write committing after the
-    // removal below would resurrect the unpersisted block on disk.
-    bm.CancelSpill(id);
-    bm.RemoveFromMemory(id);
-    bm.RemoveFromDisk(id);
-    if (resident) {
-      engine_->audit().Unpersist(static_cast<uint32_t>(executor), id.rdd_id, id.partition,
+    if (engine_->block_manager(executor).Drop(BlockId{rdd.id(), p})) {
+      engine_->audit().Unpersist(static_cast<uint32_t>(executor), rdd.id(), p,
                                  /*size_bytes=*/0, policy_->name(), "user_unpersist", owner);
     }
   }

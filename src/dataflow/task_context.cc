@@ -27,6 +27,62 @@ void TaskContext::RegisterPin(size_t executor, const BlockId& id) {
   pins_.emplace_back(executor, id);
 }
 
+std::optional<BlockPtr> TaskContext::ReadCached(const RddBase& rdd, uint32_t partition,
+                                                bool use_disk) {
+  const BlockId id{rdd.id(), partition};
+  const size_t executor = engine_->ExecutorFor(partition);
+  BlockManager& bm = engine_->block_manager(executor);
+  const auto hit = [&](bool from_memory, const char* tier) {
+    engine_->metrics().RecordCacheHit(from_memory);
+    TRACE_EVENT("cache.hit", "cache", trace::TArg("rdd", id.rdd_id),
+                trace::TArg("part", id.partition), trace::TArg("tier", tier));
+  };
+  if (auto block = bm.memory().GetAndPin(id)) {
+    // Pinned for the task's lifetime: eviction cannot free this data while
+    // the task still references it.
+    RegisterPin(executor, id);
+    hit(/*from_memory=*/true, "memory");
+    return block;
+  }
+  // Evicted but not yet committed to disk: the spill queue's write-claim still
+  // holds the live payload — serve it instead of waiting for (or re-reading)
+  // the disk write.
+  if (auto block = bm.InFlightSpill(id)) {
+    hit(/*from_memory=*/true, "spill_queue");
+    return block;
+  }
+  if (use_disk) {
+    double read_ms = 0.0;
+    if (auto bytes = bm.ReadFromDisk(id, &read_ms)) {
+      BlockPtr block = DecodeStored(rdd, *bytes, read_ms);
+      hit(/*from_memory=*/false, "disk");
+      return block;
+    }
+  }
+  TRACE_EVENT("cache.miss", "cache", trace::TArg("rdd", id.rdd_id),
+              trace::TArg("part", id.partition));
+  return std::nullopt;
+}
+
+BlockPtr TaskContext::DecodeStored(const RddBase& rdd, const std::vector<uint8_t>& bytes,
+                                   double io_ms) {
+  Stopwatch decode_watch;
+  ByteSource src(bytes);
+  BlockPtr block = rdd.DecodeBlock(src);
+  metrics_.cache_disk_ms += io_ms + decode_watch.ElapsedMillis();
+  metrics_.cache_disk_bytes_read += bytes.size();
+  return block;
+}
+
+uint32_t TaskContext::CacheOwner(const RddBase& rdd) const {
+  const TenantRegistry* tenants = engine_->tenants();
+  if (tenants == nullptr) {
+    return kNoTenant;
+  }
+  const uint32_t owner = tenants->OwnerOf(rdd.id());
+  return owner != kNoTenant ? owner : tenant_;
+}
+
 bool TaskContext::IsFusionBarrier(const RddBase& rdd) const {
   if (!engine_->config().enable_fusion) {
     return true;
@@ -94,11 +150,7 @@ BlockPtr TaskContext::GetBlockImpl(const RddBase& rdd, uint32_t index, bool keep
     // recovery accounting compares recomputation against).
     double fetch_ms = 0;
     if (auto bytes = stub->Fetch(&fetch_ms)) {
-      Stopwatch decode_watch;
-      ByteSource src(*bytes);
-      BlockPtr block = rdd.DecodeBlock(src);
-      metrics_.cache_disk_ms += fetch_ms + decode_watch.ElapsedMillis();
-      metrics_.cache_disk_bytes_read += bytes->size();
+      BlockPtr block = DecodeStored(rdd, *bytes, fetch_ms);
       record_tenant_lookup(/*hit=*/true);
       return serve(std::move(block));
     }
@@ -115,11 +167,7 @@ BlockPtr TaskContext::GetBlockImpl(const RddBase& rdd, uint32_t index, bool keep
   if (rdd.is_checkpointed()) {
     DiskOpResult op;
     if (auto bytes = engine_->checkpoint_store().Get(block_id, &op)) {
-      Stopwatch decode_watch;
-      ByteSource src(*bytes);
-      BlockPtr block = rdd.DecodeBlock(src);
-      metrics_.cache_disk_ms += op.elapsed_ms + decode_watch.ElapsedMillis();
-      metrics_.cache_disk_bytes_read += bytes->size();
+      BlockPtr block = DecodeStored(rdd, *bytes, op.elapsed_ms);
       engine_->metrics().RecordCacheHit(/*from_memory=*/false);
       record_tenant_lookup(/*hit=*/true);
       return serve(std::move(block));
@@ -238,10 +286,7 @@ std::vector<BlockPtr> TaskContext::ReadOrRebuildShuffleBuckets(const RddBase& sh
       // every stale stub of this map partition.
       double fetch_ms = 0;
       if (auto bytes = stub->Fetch(&fetch_ms)) {
-        ByteSource src(*bytes);
-        bucket = dep.parent->DecodeBlock(src);
-        metrics_.cache_disk_ms += fetch_ms;
-        metrics_.cache_disk_bytes_read += bytes->size();
+        bucket = DecodeStored(*dep.parent, *bytes, fetch_ms);
       } else {
         bucket = nullptr;
       }

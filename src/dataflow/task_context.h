@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -57,6 +58,23 @@ class TaskContext {
 
   // Accounting for one operator whose block materialization was elided.
   void OnOperatorFused(const RddBase&) { ++metrics_.fused_ops; }
+
+  // Reads a cached partition through the executor's tiers: memory (pinned
+  // for the task's lifetime), then a spill still in flight, then — when
+  // `use_disk` — the disk tier. Records the hit and emits the cache.hit /
+  // cache.miss trace events; nullopt on a miss.
+  std::optional<BlockPtr> ReadCached(const RddBase& rdd, uint32_t partition, bool use_disk);
+
+  // Decodes a payload read from outside this address space's memory (disk
+  // tier, checkpoint store, worker process) and charges it to the task:
+  // `io_ms` plus the decode time to cache_disk_ms, the bytes to
+  // cache_disk_bytes_read.
+  BlockPtr DecodeStored(const RddBase& rdd, const std::vector<uint8_t>& bytes, double io_ms);
+
+  // Tenant whose ledger a cached copy of `rdd` is charged to: the dataset's
+  // owner (first toucher; shared datasets are charged once), else this task's
+  // tenant; kNoTenant outside multi-tenant mode.
+  uint32_t CacheOwner(const RddBase& rdd) const;
 
   // Records that the coordinator pinned `id` in executor `executor`'s memory
   // store (GetAndPin) on this task's behalf; the destructor drops the pin, so

@@ -267,9 +267,7 @@ void Worker::MakeRoom(uint64_t needed) {
     if (victim == nullptr) {
       return;  // nothing demotable; caller falls back to direct disk write
     }
-    if (!bm_->SpillAsync(victim->id, victim->data)) {
-      bm_->SpillToDisk(victim->id, *victim->data);
-    }
+    bm_->WriteToDisk(victim->id, victim->data, /*charge=*/nullptr);
     bm_->memory().Remove(victim->id);
   }
 }
@@ -334,9 +332,7 @@ bool Worker::DemoteBlock(const BlockId& id) {
     // coordinator's eviction asked to: already where the caller wants it.
     return bm_->InFlightSpill(id).has_value() || bm_->disk().Contains(id);
   }
-  if (!bm_->SpillAsync(id, *resident)) {
-    bm_->SpillToDisk(id, **resident);
-  }
+  bm_->WriteToDisk(id, *resident, /*charge=*/nullptr);
   bm_->memory().Remove(id);
   return true;
 }

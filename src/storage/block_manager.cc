@@ -118,7 +118,47 @@ std::optional<std::vector<uint8_t>> BlockManager::ReadFromDisk(const BlockId& id
   return bytes;
 }
 
-void BlockManager::RemoveFromMemory(const BlockId& id) { memory_.Remove(id); }
+bool BlockManager::WriteToDisk(const BlockId& id, const BlockPtr& data, TaskMetrics* charge) {
+  if (disk_.Contains(id) || InFlightSpill(id).has_value()) {
+    return false;
+  }
+  if (SpillAsync(id, data)) {
+    return true;
+  }
+  // Queue full: the caller pays the serialize+write.
+  const double ms = SpillToDisk(id, *data);
+  if (charge != nullptr) {
+    charge->cache_disk_ms += ms;
+    charge->cache_disk_bytes_written += data->SizeBytes();
+  }
+  return true;
+}
+
+bool BlockManager::Evict(const MemoryEntry& victim, bool to_disk, TaskMetrics* charge) {
+  const bool wrote = to_disk && WriteToDisk(victim.id, victim.data, charge);
+  if (memory_.RemoveIfUnpinned(victim.id) == 0) {
+    // Pinned by an executing task (or already gone): the payload stays
+    // resident, so a queued write is pointless. A sync write that already
+    // landed just leaves a redundant disk copy.
+    if (wrote) {
+      CancelSpill(victim.id);
+    }
+    return false;
+  }
+  if (metrics_ != nullptr) {
+    metrics_->RecordEviction(executor_id_, victim.size_bytes, to_disk);
+  }
+  return true;
+}
+
+bool BlockManager::Drop(const BlockId& id) {
+  const bool resident =
+      memory_.Contains(id) || disk_.Contains(id) || InFlightSpill(id).has_value();
+  CancelSpill(id);
+  memory_.Remove(id);
+  RemoveFromDisk(id);
+  return resident;
+}
 
 void BlockManager::RemoveFromDisk(const BlockId& id) {
   const uint64_t size = disk_.Remove(id);

@@ -1,14 +1,17 @@
 // Per-executor storage: one memory store + one disk store, mirroring Spark's
-// BlockManager. Provides the mechanical operations (spill, disk fetch,
-// remove); every *decision* — admit, evict, victim choice, disk-vs-discard —
-// belongs to the cache coordinator (src/cache/cache_coordinator.h).
+// BlockManager. Provides the mechanical operations — the async-first disk
+// write (WriteToDisk), one chosen victim's eviction in DESIGN §12's order
+// (Evict), the every-tier drop (Drop), spill and disk fetch — which the cache
+// coordinators call instead of re-implementing; every *decision* — admit,
+// evict, victim choice, disk-vs-discard — belongs to the coordinator
+// (src/dataflow/cache_coordinator.h).
 //
-// PR 5 additions: the BlockManager owns the executor's MemoryArbiter (one
-// byte ledger for cache blocks and shuffle/execution buffers — the memory
-// store's capacity bound shrinks as shuffle bytes are charged) and its
-// SpillQueue (asynchronous spill/fetch worker). SpillAsync/FetchAsync are the
-// off-path entry points; when the queue is full they refuse and coordinators
-// fall back to the synchronous path (SpillToDisk / ReadFromDisk).
+// The BlockManager owns the executor's MemoryArbiter (one byte ledger for
+// cache blocks and shuffle/execution buffers — the memory store's capacity
+// bound shrinks as shuffle bytes are charged) and its SpillQueue
+// (asynchronous spill/fetch worker). SpillAsync/FetchAsync are the off-path
+// entry points; when the queue is full they refuse and callers fall back to
+// the synchronous path (SpillToDisk / ReadFromDisk).
 #ifndef SRC_STORAGE_BLOCK_MANAGER_H_
 #define SRC_STORAGE_BLOCK_MANAGER_H_
 
@@ -95,8 +98,24 @@ class BlockManager {
     remote_remove_ = std::move(remove);
   }
 
-  // Drops the block from the given tiers, updating disk residency metrics.
-  void RemoveFromMemory(const BlockId& id);
+  // Writes `data` to the disk tier: handed to the spill worker when it has
+  // room, written synchronously otherwise, with the sync time and bytes
+  // charged to `charge` (nullable). Skipped — returns false — when the block
+  // is already on disk or its spill is still in flight.
+  bool WriteToDisk(const BlockId& id, const BlockPtr& data, TaskMetrics* charge);
+
+  // Evicts one memory-resident victim: when `to_disk`, writes it first
+  // (WriteToDisk) so the in-flight read-through has no gap, then removes it
+  // unless pinned. A refusal (pinned or gone since the victim was chosen)
+  // cancels the queued write; a success records the eviction. Returns
+  // whether the victim left memory.
+  bool Evict(const MemoryEntry& victim, bool to_disk, TaskMetrics* charge);
+
+  // Drops the block from memory and disk, revoking any pending spill first
+  // so a late commit cannot resurrect it. Returns whether any tier held it.
+  bool Drop(const BlockId& id);
+
+  // Drops the disk copy, updating disk residency metrics.
   void RemoveFromDisk(const BlockId& id);
 
   RunMetrics* metrics() { return metrics_; }

@@ -239,6 +239,9 @@ TEST(PolicyCoordinatorTest, MemAndDiskServesEvictionsFromDisk) {
   rdd->Cache();
   EXPECT_EQ(rdd->Count(), 8u * 4000u);
   EXPECT_EQ(generations->load(), 8);
+  // Disk admits are async-first: let the writes commit so the re-read below
+  // comes from the disk tier rather than the spill queue's in-flight copy.
+  engine.DrainAllSpills();
   EXPECT_EQ(rdd->Count(), 8u * 4000u);
   EXPECT_EQ(generations->load(), 8);  // recovered from disk, never recomputed
   const auto snap = engine.metrics().Snapshot();
@@ -267,6 +270,9 @@ TEST(PolicyCoordinatorTest, UnpersistDropsAllTiers) {
   rdd->Count();
   EXPECT_GT(engine.TotalMemoryUsed() + engine.block_manager(0).disk().used_bytes(), 0u);
   rdd->Unpersist();
+  // A disk admit still mid-write when the unpersist lands is cancelled and
+  // its file deleted right after the commit: quiesce the spill worker first.
+  engine.DrainAllSpills();
   EXPECT_EQ(engine.TotalMemoryUsed(), 0u);
   EXPECT_EQ(engine.block_manager(0).disk().used_bytes(), 0u);
 }
@@ -279,6 +285,7 @@ TEST(PolicyCoordinatorTest, OversizedBlockGoesStraightToDisk) {
                            [](uint32_t) { return std::vector<int>(10000, 1); });
   rdd->Cache();
   rdd->Count();
+  engine.DrainAllSpills();  // the disk admit is async-first
   EXPECT_EQ(engine.TotalMemoryUsed(), 0u);
   EXPECT_GT(engine.block_manager(0).disk().used_bytes(), 0u);
 }

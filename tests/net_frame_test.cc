@@ -10,12 +10,14 @@
 #include <chrono>
 #include <cstring>
 #include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "src/common/crc32.h"
+#include "src/common/json.h"
 #include "src/net/frame.h"
 #include "src/net/message.h"
 #include "src/net/rpc.h"
@@ -416,10 +418,74 @@ TEST(MessageTest, AckRoundTrip) {
 
 // --- malformed bodies -------------------------------------------------------
 
-// Every strict prefix of a valid encoding must decode to nullopt — not crash,
-// not read out of bounds. This sweeps all message types at every cut point.
+// Decodes the body of `src` as the message type its header names, so a
+// mutant whose type byte was hit lands in another type's decoder. Returns
+// whether the body decoded.
+bool DecodeAny(ByteSource& src) {
+  const auto header = MessageHeader::Decode(src);
+  if (!header.has_value()) {
+    return false;
+  }
+  switch (header->type) {
+    case MsgType::kTaskLaunch: return TaskLaunchMsg::Decode(src).has_value();
+    case MsgType::kTaskResult: return TaskResultMsg::Decode(src).has_value();
+    case MsgType::kBlockPut: return BlockPutMsg::Decode(src).has_value();
+    case MsgType::kBlockGet: return BlockGetMsg::Decode(src).has_value();
+    case MsgType::kBlockGetResp: return BlockGetRespMsg::Decode(src).has_value();
+    case MsgType::kBlockRemove: return BlockRemoveMsg::Decode(src).has_value();
+    case MsgType::kBucketPut: return BucketPutMsg::Decode(src).has_value();
+    case MsgType::kBucketFetch: return BucketFetchMsg::Decode(src).has_value();
+    case MsgType::kBucketFetchResp: return BucketFetchRespMsg::Decode(src).has_value();
+    case MsgType::kBucketRemove: return BucketRemoveMsg::Decode(src).has_value();
+    case MsgType::kHeartbeat: return HeartbeatMsg::Decode(src).has_value();
+    case MsgType::kHeartbeatAck: return HeartbeatAckMsg::Decode(src).has_value();
+    case MsgType::kShutdown: return true;  // header-only
+    case MsgType::kAck: return AckMsg::Decode(src).has_value();
+    case MsgType::kJobSubmit: return JobSubmitMsg::Decode(src).has_value();
+    case MsgType::kJobSubmitResp: return JobSubmitRespMsg::Decode(src).has_value();
+    case MsgType::kJobStatus: return JobStatusMsg::Decode(src).has_value();
+    case MsgType::kJobStatusResp: return JobStatusRespMsg::Decode(src).has_value();
+    case MsgType::kTenantStats: return TenantStatsMsg::Decode(src).has_value();
+    case MsgType::kTenantStatsResp: return TenantStatsRespMsg::Decode(src).has_value();
+  }
+  return false;
+}
+
+// Seeded hostile-byte generator: one to four edits per mutant, each a bit
+// flip, a byte overwrite, or a lying length (the varint of a huge or
+// slightly-too-large count written over the bytes at a random offset).
+template <typename Bytes>
+Bytes Mutate(Bytes bytes, std::mt19937_64& rng) {
+  const int edits = 1 + static_cast<int>(rng() % 4);
+  for (int e = 0; e < edits && !bytes.empty(); ++e) {
+    const size_t at = rng() % bytes.size();
+    switch (rng() % 3) {
+      case 0:
+        bytes[at] = static_cast<typename Bytes::value_type>(bytes[at] ^ (1u << (rng() % 8)));
+        break;
+      case 1:
+        bytes[at] = static_cast<typename Bytes::value_type>(rng());
+        break;
+      default: {
+        const uint64_t lies[] = {bytes.size() - at + 1, bytes.size() * 2, 0xFFFFFFFFull,
+                                 ~0ull >> 1, ~0ull};
+        ByteSink lie;
+        lie.WriteVarint(lies[rng() % std::size(lies)]);
+        for (size_t i = 0; i < lie.size() && at + i < bytes.size(); ++i) {
+          bytes[at + i] = static_cast<typename Bytes::value_type>(lie.data()[i]);
+        }
+      }
+    }
+  }
+  return bytes;
+}
+
+// Hostile input for one message: every strict prefix of a valid encoding
+// must decode to nullopt, and every seeded mutant must either decode or fail
+// cleanly — never crash, never read out of bounds (the ASan and UBSan CI legs
+// run this too).
 template <typename Msg>
-void ExpectTruncationsFailCleanly(const Msg& msg, MsgType type) {
+void ExpectHostileBytesFailCleanly(const Msg& msg, MsgType type) {
   const auto bytes = EncodeEnvelope(type, 77, msg);
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
     ByteSource src(bytes.data(), cut);
@@ -431,73 +497,137 @@ void ExpectTruncationsFailCleanly(const Msg& msg, MsgType type) {
         << MsgTypeName(type) << " decoded from a " << cut << "-byte prefix of "
         << bytes.size() << " bytes";
   }
+  std::mt19937_64 rng(static_cast<uint64_t>(type) * 7919);
+  for (int i = 0; i < 2000; ++i) {
+    const auto mutant = Mutate(bytes, rng);
+    ByteSource src(mutant);
+    DecodeAny(src);  // decoding or a clean false are both fine; a crash fails
+  }
 }
 
-TEST(MessageTest, TruncatedBodiesFailCleanly) {
+TEST(MessageTest, TruncatedAndMutatedBodiesFailCleanly) {
   TaskLaunchMsg launch;
   launch.job_id = 1;
   launch.closure = "ping";
   launch.args = {1, 2, 3, 4, 5, 6, 7, 8};
-  ExpectTruncationsFailCleanly(launch, MsgType::kTaskLaunch);
+  ExpectHostileBytesFailCleanly(launch, MsgType::kTaskLaunch);
 
   TaskResultMsg result;
   result.ok = true;
   result.error = "e";
   result.payload = {1, 2, 3};
-  ExpectTruncationsFailCleanly(result, MsgType::kTaskResult);
+  ExpectHostileBytesFailCleanly(result, MsgType::kTaskResult);
 
   BlockPutMsg put;
   put.id = BlockId{1, 2};
   put.incarnation = 3;
   put.logical_bytes = 4;
   put.payload = {5, 6, 7};
-  ExpectTruncationsFailCleanly(put, MsgType::kBlockPut);
+  ExpectHostileBytesFailCleanly(put, MsgType::kBlockPut);
 
   BlockGetMsg get;
   get.id = BlockId{1, 2};
-  ExpectTruncationsFailCleanly(get, MsgType::kBlockGet);
+  ExpectHostileBytesFailCleanly(get, MsgType::kBlockGet);
 
   BlockGetRespMsg get_resp;
   get_resp.found = true;
   get_resp.payload = {1};
-  ExpectTruncationsFailCleanly(get_resp, MsgType::kBlockGetResp);
+  ExpectHostileBytesFailCleanly(get_resp, MsgType::kBlockGetResp);
 
   BlockRemoveMsg remove;
   remove.id = BlockId{1, 2};
   remove.incarnation = 3;
-  ExpectTruncationsFailCleanly(remove, MsgType::kBlockRemove);
+  ExpectHostileBytesFailCleanly(remove, MsgType::kBlockRemove);
 
   BucketPutMsg bput;
   bput.shuffle_id = 1;
   bput.payload = {1, 2};
-  ExpectTruncationsFailCleanly(bput, MsgType::kBucketPut);
+  ExpectHostileBytesFailCleanly(bput, MsgType::kBucketPut);
 
   BucketFetchMsg bfetch;
   bfetch.shuffle_id = 1;
-  ExpectTruncationsFailCleanly(bfetch, MsgType::kBucketFetch);
+  ExpectHostileBytesFailCleanly(bfetch, MsgType::kBucketFetch);
 
   BucketFetchRespMsg bresp;
   bresp.found = true;
   bresp.payload = {1};
-  ExpectTruncationsFailCleanly(bresp, MsgType::kBucketFetchResp);
+  ExpectHostileBytesFailCleanly(bresp, MsgType::kBucketFetchResp);
 
   BucketRemoveMsg bremove;
   bremove.shuffle_id = 1;
-  ExpectTruncationsFailCleanly(bremove, MsgType::kBucketRemove);
+  ExpectHostileBytesFailCleanly(bremove, MsgType::kBucketRemove);
 
   HeartbeatMsg hb;
   hb.seq = 123456789;  // multi-byte varint
-  ExpectTruncationsFailCleanly(hb, MsgType::kHeartbeat);
+  ExpectHostileBytesFailCleanly(hb, MsgType::kHeartbeat);
 
   HeartbeatAckMsg ack;
   ack.seq = 123456789;
   ack.stats.tasks_executed = 1;
-  ExpectTruncationsFailCleanly(ack, MsgType::kHeartbeatAck);
+  ExpectHostileBytesFailCleanly(ack, MsgType::kHeartbeatAck);
 
   AckMsg plain;
   plain.ok = false;
   plain.error = "boom";
-  ExpectTruncationsFailCleanly(plain, MsgType::kAck);
+  ExpectHostileBytesFailCleanly(plain, MsgType::kAck);
+
+  JobSubmitMsg submit;
+  submit.tenant = "gold";
+  submit.workload = "pagerank";
+  submit.iterations = 3;
+  ExpectHostileBytesFailCleanly(submit, MsgType::kJobSubmit);
+
+  JobSubmitRespMsg submit_resp;
+  submit_resp.accepted = false;
+  submit_resp.error = "over quota";
+  ExpectHostileBytesFailCleanly(submit_resp, MsgType::kJobSubmitResp);
+
+  JobStatusMsg status;
+  status.server_job_id = 42;
+  ExpectHostileBytesFailCleanly(status, MsgType::kJobStatus);
+
+  JobStatusRespMsg status_resp;
+  status_resp.known = true;
+  status_resp.state = "done";
+  status_resp.detail = "rank sum 1000";
+  status_resp.elapsed_ms = 12.5;
+  ExpectHostileBytesFailCleanly(status_resp, MsgType::kJobStatusResp);
+
+  ExpectHostileBytesFailCleanly(TenantStatsMsg{}, MsgType::kTenantStats);
+
+  TenantStatsRespMsg stats;
+  for (const char* name : {"gold", "bronze"}) {
+    TenantStatRow row;
+    row.name = name;
+    row.share_bytes = 1 << 20;
+    row.jobs_completed = 7;
+    stats.tenants.push_back(row);
+  }
+  ExpectHostileBytesFailCleanly(stats, MsgType::kTenantStatsResp);
+}
+
+TEST(MessageTest, MutatedJsonParsesOrFailsCleanly) {
+  const std::string docs[] = {
+      R"({"counters":{"task.completed":12,"cache.hits":3},"gauges":[1.5,-2e3,0],)"
+      R"("name":"blaze \"live\" \u00e9","ok":true,"none":null})",
+      R"([{"ph":"X","ts":10,"dur":4.25,"args":{"rdd":7,"tier":"disk"}},[],{}])",
+  };
+  std::mt19937_64 rng(20241017);
+  for (const std::string& doc : docs) {
+    ASSERT_TRUE(json::Parse(doc).has_value()) << doc;
+    for (size_t cut = 0; cut < doc.size(); ++cut) {
+      json::Parse(std::string_view(doc).substr(0, cut));  // must not crash
+    }
+    for (int i = 0; i < 4000; ++i) {
+      const std::string mutant = Mutate(doc, rng);
+      std::string error;
+      if (!json::Parse(mutant, &error).has_value()) {
+        EXPECT_FALSE(error.empty()) << mutant;
+      }
+    }
+  }
+  // Nesting past the parser's depth bound is an error, not a stack overflow.
+  EXPECT_FALSE(json::Parse(std::string(100000, '[')).has_value());
 }
 
 TEST(MessageTest, LyingLengthPrefixFailsCleanly) {

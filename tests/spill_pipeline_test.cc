@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -176,6 +177,142 @@ TEST_F(SpillPipelineTest, DestructorDrainsPendingSpills) {
   // spill proves the destructor drained the queue. (The disk itself is gone:
   // ~DiskStore removes its directory.)
   EXPECT_EQ(metrics.Snapshot().async_spills, 1u);
+}
+
+// --- shared eviction mechanics (BlockManager::Evict / WriteToDisk / Drop) ---
+
+// Holds the spill worker inside a fetch callback until Release(), so items
+// enqueued meanwhile stay queued and a depth-1 queue fills deterministically.
+class ParkedWorker {
+ public:
+  explicit ParkedWorker(BlockManager& bm) {
+    std::shared_future<void> gate = release_.get_future().share();
+    const bool queued = bm.FetchAsync(BlockId{99, 0}, [this, gate](auto, double) {
+      started_.set_value();
+      gate.wait();
+    });
+    EXPECT_TRUE(queued);
+    if (queued) {
+      started_.get_future().wait();
+    }
+  }
+  ~ParkedWorker() { Release(); }
+  ParkedWorker(const ParkedWorker&) = delete;
+  ParkedWorker& operator=(const ParkedWorker&) = delete;
+  void Release() {
+    if (!released_) {
+      released_ = true;
+      release_.set_value();
+    }
+  }
+
+ private:
+  std::promise<void> started_;
+  std::promise<void> release_;
+  bool released_ = false;
+};
+
+MemoryEntry PutResident(BlockManager& bm, const BlockId& id, BlockPtr block) {
+  bm.memory().Put(id, block, block->SizeBytes());
+  return MemoryEntry{id, block, block->SizeBytes()};
+}
+
+TEST_F(SpillPipelineTest, EvictFallsBackToSyncWriteWhenQueueFull) {
+  RunMetrics metrics(1);
+  BlockManagerConfig config = Config();
+  config.spill_queue_depth = 1;
+  BlockManager bm(0, config, &metrics);
+  const BlockId id{12, 0};
+  const MemoryEntry victim = PutResident(bm, id, IntBlock(3, 2048));
+  ParkedWorker parked(bm);
+  ASSERT_TRUE(bm.SpillAsync(BlockId{12, 1}, IntBlock(4, 16)));  // fills the queue
+
+  TaskMetrics charge;
+  ASSERT_TRUE(bm.Evict(victim, /*to_disk=*/true, &charge));
+  // Written inline by the evicting caller, who pays for it.
+  EXPECT_TRUE(bm.disk().Contains(id));
+  EXPECT_FALSE(bm.memory().Contains(id));
+  EXPECT_GT(charge.cache_disk_ms, 0.0);
+  EXPECT_EQ(charge.cache_disk_bytes_written, victim.size_bytes);
+
+  parked.Release();
+  bm.DrainSpills();
+  const auto snap = metrics.Snapshot();
+  EXPECT_EQ(snap.evictions_to_disk, 1u);
+  EXPECT_EQ(snap.spill_queue_rejects, 1u);
+  double read_ms = 0.0;
+  auto bytes = bm.ReadFromDisk(id, &read_ms);
+  ASSERT_TRUE(bytes.has_value());
+  ByteSource src(*bytes);
+  EXPECT_EQ(TypedBlock<int>::DecodeFrom(src)->rows(), std::vector<int>(2048, 3));
+}
+
+TEST_F(SpillPipelineTest, EvictRefusesPinnedVictimAndCancelsItsSpill) {
+  const TelemetryCounter* cancelled = MetricsRegistry::Global().Counter("spill.cancelled");
+  const uint64_t cancelled_before = cancelled->Value();
+  RunMetrics metrics(1);
+  BlockManager bm(0, Config(), &metrics);
+  const BlockId id{13, 0};
+  const MemoryEntry victim = PutResident(bm, id, IntBlock(5, 4096));
+  ASSERT_TRUE(bm.memory().GetAndPin(id).has_value());  // an executing task holds it
+
+  TaskMetrics charge;
+  EXPECT_FALSE(bm.Evict(victim, /*to_disk=*/true, &charge));
+  EXPECT_TRUE(bm.memory().Contains(id));
+  EXPECT_FALSE(bm.InFlightSpill(id).has_value());
+  EXPECT_EQ(charge.cache_disk_bytes_written, 0u);  // the write had gone async
+  bm.DrainSpills();
+  EXPECT_FALSE(bm.disk().Contains(id));
+  EXPECT_EQ(cancelled->Value() - cancelled_before, 1u);
+  EXPECT_EQ(metrics.Snapshot().evictions_to_disk, 0u);
+  bm.memory().Unpin(id);
+}
+
+TEST_F(SpillPipelineTest, EvictDoesNotRewriteVictimAlreadyOnDisk) {
+  RunMetrics metrics(1);
+  BlockManager bm(0, Config(), &metrics);
+  const BlockId id{14, 0};
+  bm.SpillToDisk(id, *IntBlock(1, 100));  // disk copy from an earlier eviction
+  const uint64_t written_before = metrics.Snapshot().disk_bytes_written_total;
+  const MemoryEntry victim = PutResident(bm, id, IntBlock(1, 100));
+
+  TaskMetrics charge;
+  EXPECT_FALSE(bm.WriteToDisk(id, victim.data, &charge));
+  ASSERT_TRUE(bm.Evict(victim, /*to_disk=*/true, &charge));
+  EXPECT_FALSE(bm.InFlightSpill(id).has_value());
+  bm.DrainSpills();
+  const auto snap = metrics.Snapshot();
+  EXPECT_EQ(snap.disk_bytes_written_total, written_before);
+  EXPECT_EQ(snap.async_spills, 0u);
+  EXPECT_EQ(snap.evictions_to_disk, 1u);
+  EXPECT_EQ(charge.cache_disk_bytes_written, 0u);
+  EXPECT_TRUE(bm.disk().Contains(id));
+}
+
+TEST_F(SpillPipelineTest, DropReportsResidencyInEveryTier) {
+  RunMetrics metrics(1);
+  BlockManager bm(0, Config(), &metrics);
+  const BlockId in_memory{15, 0};
+  const BlockId on_disk{15, 1};
+  const BlockId in_flight{15, 2};
+  const BlockId absent{15, 3};
+  PutResident(bm, in_memory, IntBlock(1, 64));
+  bm.SpillToDisk(on_disk, *IntBlock(2, 64));
+  ParkedWorker parked(bm);
+  ASSERT_TRUE(bm.SpillAsync(in_flight, IntBlock(3, 64)));  // queued behind the fetch
+
+  EXPECT_TRUE(bm.Drop(in_memory));
+  EXPECT_TRUE(bm.Drop(on_disk));
+  EXPECT_TRUE(bm.Drop(in_flight));
+  EXPECT_FALSE(bm.Drop(absent));
+  parked.Release();
+  bm.DrainSpills();
+  for (const BlockId& id : {in_memory, on_disk, in_flight}) {
+    EXPECT_FALSE(bm.memory().Contains(id));
+    EXPECT_FALSE(bm.disk().Contains(id));
+    EXPECT_FALSE(bm.Drop(id));  // nothing left to drop
+  }
+  EXPECT_EQ(metrics.Snapshot().async_spills, 0u);  // the queued write never ran
 }
 
 // --- pinned-block lifecycle --------------------------------------------------------

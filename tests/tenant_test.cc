@@ -257,6 +257,7 @@ TEST(TenantTest, FourTenantConcurrentDrivers) {
        Spec("t3", 0.25, 2)},
       /*executors=*/2, /*threads=*/2));
   InstallLru(engine);
+  const std::string names[] = {"t0", "t1", "t2", "t3"};
 
   auto shared = CachedInts(engine, "stress_shared", 4);
   constexpr int kJobsPerTenant = 12;
@@ -265,7 +266,7 @@ TEST(TenantTest, FourTenantConcurrentDrivers) {
   std::vector<std::thread> drivers;
   for (int t = 0; t < 4; ++t) {
     drivers.emplace_back([&, t] {
-      const TenantId tenant = *engine.tenants()->FindByName("t" + std::to_string(t));
+      const TenantId tenant = *engine.tenants()->FindByName(names[t]);
       auto mine = CachedInts(engine, "stress_private_" + std::to_string(t), 2);
       for (int j = 0; j < kJobsPerTenant; ++j) {
         auto& target = j % 3 == 0 ? shared : mine;
@@ -287,7 +288,7 @@ TEST(TenantTest, FourTenantConcurrentDrivers) {
   EXPECT_EQ(engine.tenants()->TenantsReferencing(shared->id()), 4u);
   for (int t = 0; t < 4; ++t) {
     const TenantRegistry::TenantStats stats =
-        engine.tenants()->Stats(*engine.tenants()->FindByName("t" + std::to_string(t)));
+        engine.tenants()->Stats(*engine.tenants()->FindByName(names[t]));
     EXPECT_EQ(stats.jobs_completed, static_cast<uint64_t>(kJobsPerTenant));
     EXPECT_EQ(stats.jobs_rejected, 0u);
     EXPECT_EQ(stats.jobs_running, 0);

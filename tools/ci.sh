@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # CI driver: builds and runs the test suite in the plain config, then again
 # with ThreadSanitizer (BLAZE_SANITIZE=thread) in a separate build tree so
-# data races on the concurrent hot paths fail the pipeline, and once more
-# with AddressSanitizer (BLAZE_SANITIZE=address) over the storage/columnar
-# subset so arena lifetime bugs (use-after-release, chunk overruns) fail too,
-# and with UndefinedBehaviorSanitizer (BLAZE_SANITIZE=undefined) over the full
-# suite, where any finding aborts the test that hit it.
+# data races on the concurrent hot paths fail the pipeline, once more with
+# AddressSanitizer (BLAZE_SANITIZE=address) over the full suite so arena
+# lifetime bugs (use-after-release, chunk overruns) and decoder over-reads
+# fail too, and with UndefinedBehaviorSanitizer (BLAZE_SANITIZE=undefined)
+# over the full suite, where any finding aborts the test that hit it. The
+# release leg only builds, at -O3, where gcc's inlining-driven diagnostics
+# (-Wrestrict, -Wstringop-overflow) fire and -Werror makes them fatal.
 #
-# Usage: tools/ci.sh [plain|tsan|asan|ubsan|all]   (default: all)
+# Usage: tools/ci.sh [plain|tsan|asan|ubsan|release|all]   (default: all)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -15,8 +17,8 @@ mode="${1:-all}"
 jobs="$(nproc)"
 
 case "$mode" in
-  plain|tsan|asan|ubsan|all) ;;
-  *) echo "usage: tools/ci.sh [plain|tsan|asan|ubsan|all]" >&2; exit 2 ;;
+  plain|tsan|asan|ubsan|release|all) ;;
+  *) echo "usage: tools/ci.sh [plain|tsan|asan|ubsan|release|all]" >&2; exit 2 ;;
 esac
 
 run_config() {
@@ -239,18 +241,13 @@ if [[ "$mode" == "tsan" || "$mode" == "all" ]]; then
 fi
 
 if [[ "$mode" == "asan" || "$mode" == "all" ]]; then
-  # ASan leg over the storage/serialization/columnar subset: arena payloads
-  # are freed without destructors and handed out as raw spans, so
-  # use-after-release and chunk overruns are the failure modes to hunt. The
-  # spill-pressure smoke then drives arena-backed blocks through eviction,
-  # the async spill queue, and disk round trips end to end.
-  echo "=== [asan] configure+build ==="
-  cmake -B build-asan -S . -DBLAZE_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build-asan -j "$jobs"
-  echo "=== [asan] ctest (storage/columnar subset) ==="
+  # ASan leg over the full suite: arena payloads are freed without destructors
+  # and handed out as raw spans, and the wire/JSON decoders see seeded hostile
+  # bytes, so use-after-release, chunk overruns and over-reads are the failure
+  # modes to hunt. The spill-pressure smoke then drives arena-backed blocks
+  # through eviction, the async spill queue, and disk round trips end to end.
   ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
-    ctest --test-dir build-asan --output-on-failure -j "$jobs" \
-      -R 'columnar_arena|storage|spill_pipeline|memory_arbiter|serialize|dataflow|fusion|vectorized'
+    run_config asan build-asan -DBLAZE_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
   ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" spill_smoke build-asan
 fi
 
@@ -259,6 +256,13 @@ if [[ "$mode" == "ubsan" || "$mode" == "all" ]]; then
   # fatal, so a report fails the test that produced it.
   UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
     run_config ubsan build-ubsan -DBLAZE_SANITIZE=undefined -DCMAKE_BUILD_TYPE=RelWithDebInfo
+fi
+
+if [[ "$mode" == "release" || "$mode" == "all" ]]; then
+  echo "=== [release] configure ==="
+  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
+  echo "=== [release] build ==="
+  cmake --build build-release -j "$jobs"
 fi
 
 echo "CI OK ($mode)"

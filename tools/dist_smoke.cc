@@ -112,11 +112,11 @@ void PhaseWireSanity() {
                   result.payload == std::vector<uint8_t>({1, 2, 3}),
               "ping round-trip echoes args");
 
-  blaze::ByteSink args;
-  for (uint64_t v : {7ULL, 35ULL, 100ULL}) {
-    args.WritePod<uint64_t>(v);
-  }
-  SMOKE_CHECK(remote->RunTask(1, "sum_u64", args.TakeData(), &result) && result.ok &&
+  // sum_u64 takes its operands as packed native-endian words.
+  const uint64_t operands[] = {7, 35, 100};
+  std::vector<uint8_t> args(sizeof(operands));
+  std::memcpy(args.data(), operands, sizeof(operands));
+  SMOKE_CHECK(remote->RunTask(1, "sum_u64", std::move(args), &result) && result.ok &&
                   result.payload.size() == 8 &&
                   [&result] {
                     uint64_t sum = 0;
