@@ -10,6 +10,7 @@
 
 #include "bench/harness.h"
 #include "src/metrics/report.h"
+#include "src/workloads/systems.h"
 #include "src/workloads/workload.h"
 
 int main(int argc, char** argv) {
@@ -30,7 +31,7 @@ int main(int argc, char** argv) {
   TextTable table;
   std::vector<std::string> header{"workload"};
   for (const auto& system : systems) {
-    header.push_back(SystemLabel(system) + " (ms)");
+    header.push_back(FindSystem(system).label + " (ms)");
   }
   if (speedups) {
     header.push_back("Blaze vs MEM");

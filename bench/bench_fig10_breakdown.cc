@@ -7,6 +7,7 @@
 #include "bench/harness.h"
 #include "src/common/units.h"
 #include "src/metrics/report.h"
+#include "src/workloads/systems.h"
 #include "src/workloads/workload.h"
 
 int main(int argc, char** argv) {
@@ -20,7 +21,7 @@ int main(int argc, char** argv) {
     for (const auto& system : HeadlineSystems()) {
       const BenchResult result = RunBench({workload, system});
       const TaskMetrics& t = result.metrics.total_task;
-      table.AddRow({SystemLabel(system), Fmt(t.compute_ms + t.cache_disk_ms, 1),
+      table.AddRow({FindSystem(system).label, Fmt(t.compute_ms + t.cache_disk_ms, 1),
                     Fmt(t.cache_disk_ms, 1), Fmt(t.compute_ms, 1), Fmt(t.recompute_ms, 1),
                     std::to_string(result.metrics.evictions_to_disk),
                     std::to_string(result.metrics.evictions_discard),

@@ -8,6 +8,7 @@
 #include "bench/harness.h"
 #include "src/common/units.h"
 #include "src/metrics/report.h"
+#include "src/workloads/systems.h"
 #include "src/workloads/workload.h"
 
 int main(int argc, char** argv) {
@@ -19,7 +20,7 @@ int main(int argc, char** argv) {
   TextTable disk_table;
   std::vector<std::string> header{"workload"};
   for (const auto& system : systems) {
-    header.push_back(SystemLabel(system) + " (ms)");
+    header.push_back(FindSystem(system).label + " (ms)");
   }
   header.push_back("AutoCache gain");
   header.push_back("CostAware gain");
@@ -27,7 +28,7 @@ int main(int argc, char** argv) {
   table.AddRow(header);
   std::vector<std::string> disk_header{"workload"};
   for (const auto& system : systems) {
-    disk_header.push_back(SystemLabel(system));
+    disk_header.push_back(FindSystem(system).label);
   }
   disk_table.AddRow(disk_header);
 

@@ -5,18 +5,24 @@
 
 #include "bench/harness.h"
 #include "src/metrics/report.h"
+#include "src/workloads/systems.h"
 
 int main(int argc, char** argv) {
   blaze::BenchArgs(argc, argv);
   using namespace blaze;
   const std::vector<std::string> workloads{"pr", "cc", "lr", "svdpp"};
-  const std::vector<std::string> systems{"spark-mem", "lrc-mem", "mrd-mem", "blaze-mem"};
+  std::vector<std::string> systems;
+  for (const SystemSpec& system : AllSystems()) {
+    if (system.memory_only) {
+      systems.push_back(system.name);
+    }
+  }
 
   TextTable evictions;
   TextTable recompute;
   std::vector<std::string> header{"workload"};
   for (const auto& system : systems) {
-    header.push_back(SystemLabel(system));
+    header.push_back(FindSystem(system).label);
   }
   evictions.AddRow(header);
   recompute.AddRow(header);

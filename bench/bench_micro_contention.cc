@@ -49,8 +49,7 @@ class SingleMutexStore {
     entry.id = id;
     entry.data = std::move(data);
     entry.size_bytes = size_bytes;
-    entry.insert_seq = ++seq_;
-    entry.last_access_seq = entry.insert_seq;
+    entry.last_access_seq = ++seq_;
     used_ += size_bytes;
     blocks_.emplace(id, std::move(entry));
   }
@@ -62,7 +61,6 @@ class SingleMutexStore {
       return std::nullopt;
     }
     it->second.last_access_seq = ++seq_;
-    ++it->second.access_count;
     return it->second.data;
   }
 

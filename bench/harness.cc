@@ -7,15 +7,11 @@
 #include <memory>
 #include <sstream>
 
-#include "src/blaze/blaze_runner.h"
-#include "src/common/trace.h"
-#include "src/cache/alluxio_coordinator.h"
-#include "src/cache/policies.h"
-#include "src/cache/policy_coordinator.h"
 #include "src/common/logging.h"
 #include "src/common/stopwatch.h"
+#include "src/common/trace.h"
 #include "src/common/units.h"
-#include "src/workloads/workload.h"
+#include "src/workloads/systems.h"
 
 namespace blaze {
 
@@ -55,51 +51,6 @@ uint64_t CapacityFor(const std::string& workload) {
 }
 
 constexpr uint64_t kDiskThroughput = 32ULL << 20;  // gp2-class effective MB/s
-
-bool IsBlazeSystem(const std::string& system) { return system.rfind("blaze", 0) == 0; }
-
-BlazeOptions OptionsFor(const std::string& system) {
-  if (system == "blaze" || system == "blaze-noprofile") {
-    return BlazeOptions::Full();
-  }
-  if (system == "blaze-auto") {
-    return BlazeOptions::AutoCacheOnly();
-  }
-  if (system == "blaze-costaware") {
-    return BlazeOptions::CostAware();
-  }
-  if (system == "blaze-mem") {
-    return BlazeOptions::MemoryOnly();
-  }
-  BLAZE_LOG(kFatal) << "unknown blaze system " << system;
-  return BlazeOptions::Full();
-}
-
-void InstallBaseline(EngineContext& engine, const std::string& system) {
-  if (system == "spark-mem") {
-    engine.SetCoordinator(std::make_unique<PolicyCoordinator>(&engine, MakePolicy("lru"),
-                                                              EvictionMode::kMemOnly));
-  } else if (system == "spark-memdisk") {
-    engine.SetCoordinator(std::make_unique<PolicyCoordinator>(&engine, MakePolicy("lru"),
-                                                              EvictionMode::kMemAndDisk));
-  } else if (system == "alluxio") {
-    engine.SetCoordinator(std::make_unique<AlluxioCoordinator>(&engine));
-  } else if (system == "lrc") {
-    engine.SetCoordinator(std::make_unique<PolicyCoordinator>(&engine, MakePolicy("lrc"),
-                                                              EvictionMode::kMemAndDisk));
-  } else if (system == "mrd") {
-    engine.SetCoordinator(std::make_unique<PolicyCoordinator>(&engine, MakePolicy("mrd"),
-                                                              EvictionMode::kMemAndDisk));
-  } else if (system == "lrc-mem") {
-    engine.SetCoordinator(std::make_unique<PolicyCoordinator>(&engine, MakePolicy("lrc"),
-                                                              EvictionMode::kMemOnly));
-  } else if (system == "mrd-mem") {
-    engine.SetCoordinator(std::make_unique<PolicyCoordinator>(&engine, MakePolicy("mrd"),
-                                                              EvictionMode::kMemOnly));
-  } else {
-    BLAZE_LOG(kFatal) << "unknown system " << system;
-  }
-}
 
 // "out.json" + ("pr", "blaze") -> "out.pr.blaze.json"; the audit log goes to
 // the same stem with ".audit.jsonl". One file pair per (workload, system) so
@@ -189,46 +140,6 @@ std::vector<std::string> HeadlineSystems() {
   return {"spark-mem", "spark-memdisk", "alluxio", "lrc", "mrd", "blaze"};
 }
 
-std::string SystemLabel(const std::string& system) {
-  if (system == "spark-mem") {
-    return "Spark (MEM)";
-  }
-  if (system == "spark-memdisk") {
-    return "Spark (MEM+DISK)";
-  }
-  if (system == "alluxio") {
-    return "Spark+Alluxio";
-  }
-  if (system == "lrc") {
-    return "LRC";
-  }
-  if (system == "mrd") {
-    return "MRD";
-  }
-  if (system == "lrc-mem") {
-    return "LRC (MEM)";
-  }
-  if (system == "mrd-mem") {
-    return "MRD (MEM)";
-  }
-  if (system == "blaze") {
-    return "Blaze";
-  }
-  if (system == "blaze-auto") {
-    return "+AutoCache";
-  }
-  if (system == "blaze-costaware") {
-    return "+CostAware";
-  }
-  if (system == "blaze-mem") {
-    return "Blaze (MEM)";
-  }
-  if (system == "blaze-noprofile") {
-    return "Blaze w/o Profiling";
-  }
-  return system;
-}
-
 BenchResult RunBench(const RunSpec& spec) {
   auto workload = MakeWorkload(spec.workload);
   WorkloadParams params = workload->DefaultParams();
@@ -252,9 +163,8 @@ BenchResult RunBench(const RunSpec& spec) {
           static_cast<double>(config.memory_capacity_per_executor) * mem_scale);
     }
   }
-  const bool memory_only = spec.system == "spark-mem" || spec.system == "lrc-mem" ||
-                           spec.system == "mrd-mem" || spec.system == "blaze-mem";
-  config.disk_throughput_bytes_per_sec = memory_only ? 0 : kDiskThroughput;
+  config.disk_throughput_bytes_per_sec =
+      FindSystem(spec.system).memory_only ? 0 : kDiskThroughput;
 
   const char* trace_env = std::getenv("BLAZE_TRACE");
   const bool tracing = trace_env != nullptr && *trace_env != '\0';
@@ -269,18 +179,7 @@ BenchResult RunBench(const RunSpec& spec) {
   result.spec = spec;
 
   Stopwatch act;
-  if (IsBlazeSystem(spec.system)) {
-    BlazeRunConfig run_config;
-    run_config.options = OptionsFor(spec.system);
-    if (spec.system != "blaze-noprofile") {
-      const WorkloadParams profiling_params = params.ForProfiling();
-      run_config.profiling_driver = workload->MakeDriver(profiling_params);
-    }
-    RunWithBlaze(engine, run_config, workload->MakeDriver(params));
-  } else {
-    InstallBaseline(engine, spec.system);
-    workload->MakeDriver(params)(engine);
-  }
+  RunSystem(engine, spec.system, *workload, params);
   result.act_ms = act.ElapsedMillis();
   result.metrics = engine.metrics().Snapshot();
   if (tracing) {

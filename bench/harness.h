@@ -11,20 +11,9 @@
 
 namespace blaze {
 
-// System under test. Labels follow the paper's figures.
-//   spark-mem      MEM_ONLY Spark (LRU, recompute on miss)
-//   spark-memdisk  MEM+DISK Spark (LRU, spill/reload)
-//   alluxio        Spark+Alluxio (serialized tiered store)
-//   lrc / mrd      dependency-aware policies on MEM+DISK Spark
-//   lrc-mem / mrd-mem   the same on MEM_ONLY Spark (Fig. 12)
-//   blaze          full Blaze with dependency-extraction profiling
-//   blaze-auto     +AutoCache ablation (Fig. 11)
-//   blaze-costaware+CostAware ablation (Fig. 11)
-//   blaze-mem      Blaze without the disk tier (Fig. 12)
-//   blaze-noprofile full Blaze without the profiling phase (Fig. 13)
 struct RunSpec {
   std::string workload;  // pr, cc, lr, kmeans, gbt, svdpp
-  std::string system;
+  std::string system;    // a catalogue name (src/workloads/systems.h)
   // Scale multiplier applied on top of the benchmark defaults
   // (BLAZE_BENCH_SCALE env var also multiplies in).
   double scale = 1.0;
@@ -62,9 +51,6 @@ std::vector<std::string> HeadlineSystems();
 
 // Reads BLAZE_BENCH_SCALE (default 1.0); lets CI shrink every figure run.
 double GlobalBenchScale();
-
-// Human label used in the tables ("Spark (MEM)", "Blaze", ...).
-std::string SystemLabel(const std::string& system);
 
 }  // namespace blaze
 

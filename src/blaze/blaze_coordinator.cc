@@ -415,8 +415,14 @@ void BlazeCoordinator::RunIlpPlan(int job_id) {
   const TenantRegistry* tenants = engine_->tenants();
 
   for (size_t e = 0; e < engine_->num_executors(); ++e) {
-    std::lock_guard<std::mutex> lock(*executor_mu_[e]);
     BlockManager& bm = engine_->block_manager(e);
+    // Let queued spills land first. The universe lists what is on disk, and
+    // the lineage already marks an evicted block kDisk while its write is in
+    // flight: unlisted, such a block would escape the plan yet still price
+    // as a cheap recovery source for its children, however fast or slow the
+    // spill worker happens to run.
+    bm.DrainSpills();
+    std::lock_guard<std::mutex> lock(*executor_mu_[e]);
 
     // Assemble the per-executor universe.
     std::vector<BlockId> universe;

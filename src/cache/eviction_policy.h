@@ -46,11 +46,6 @@ class EvictionPolicy {
   virtual size_t SelectVictim(const std::vector<MemoryEntry>& candidates,
                               const DependencyDigest& digest) = 0;
 
-  // Called on every cache miss for a cache-managed block. Learning policies
-  // (LeCaR) use this to observe regret: a miss on a block one of their
-  // experts recently evicted means that expert made a mistake.
-  virtual void OnCacheMiss(const BlockId& id) { (void)id; }
-
   // MRD prefetches disk-resident blocks about to be referenced.
   virtual bool WantsPrefetch() const { return false; }
   // True if the dataset should be prefetched at the current stage.

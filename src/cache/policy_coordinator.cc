@@ -93,14 +93,7 @@ void PolicyCoordinator::OnStageComplete(const StageInfo& stage) {
 
 std::optional<BlockPtr> PolicyCoordinator::Lookup(const RddBase& rdd, uint32_t partition,
                                                   TaskContext& tc) {
-  auto hit = tc.ReadCached(rdd, partition, mode_ == EvictionMode::kMemAndDisk);
-  if (!hit) {
-    // Full miss: learning policies observe it as potential regret. (The policy
-    // state is guarded by the digest mutex, like SelectVictim calls.)
-    std::lock_guard<std::mutex> lock(digest_mu_);
-    policy_->OnCacheMiss(BlockId{rdd.id(), partition});
-  }
-  return hit;
+  return tc.ReadCached(rdd, partition, mode_ == EvictionMode::kMemAndDisk);
 }
 
 bool PolicyCoordinator::EnsureSpace(size_t executor, uint64_t needed, RddId incoming_rdd,

@@ -106,21 +106,20 @@ EngineContext::EngineContext(const EngineConfig& config)
   const auto gauge = [&](const std::string& name, std::function<int64_t()> fn) {
     gauge_tokens_.emplace_back(name, reg.RegisterCallbackGauge(name, std::move(fn)));
   };
-  gauge("arbiter.cache_used_bytes", [this] {
-    int64_t total = 0;
-    for (const auto& executor : executors_) {
-      total += static_cast<int64_t>(executor->block_manager.arbiter().cache_used_bytes());
-    }
-    return total;
-  });
-  gauge("arbiter.execution_used_bytes", [this] {
-    int64_t total = 0;
-    for (const auto& executor : executors_) {
-      total +=
-          static_cast<int64_t>(executor->block_manager.arbiter().execution_used_bytes());
-    }
-    return total;
-  });
+  // Most gauges sum one BlockManager reading over the executors.
+  const auto summed = [&](const std::string& name, auto read) {
+    gauge(name, [this, read] {
+      int64_t total = 0;
+      for (const auto& executor : executors_) {
+        total += static_cast<int64_t>(read(executor->block_manager));
+      }
+      return total;
+    });
+  };
+  summed("arbiter.cache_used_bytes",
+         [](BlockManager& bm) { return bm.arbiter().cache_used_bytes(); });
+  summed("arbiter.execution_used_bytes",
+         [](BlockManager& bm) { return bm.arbiter().execution_used_bytes(); });
   gauge("arbiter.execution_peak_bytes", [this] {
     int64_t peak = 0;
     for (const auto& executor : executors_) {
@@ -130,37 +129,13 @@ EngineContext::EngineContext(const EngineConfig& config)
     }
     return peak;
   });
-  gauge("arbiter.overflow_events", [this] {
-    int64_t total = 0;
-    for (const auto& executor : executors_) {
-      total += static_cast<int64_t>(
-          executor->block_manager.arbiter().execution_overflow_events());
-    }
-    return total;
-  });
-  gauge("spill.queue_depth", [this] {
-    int64_t total = 0;
-    for (const auto& executor : executors_) {
-      total += static_cast<int64_t>(executor->block_manager.SpillQueueDepth());
-    }
-    return total;
-  });
-  gauge("spill.pending_bytes", [this] {
-    int64_t total = 0;
-    for (const auto& executor : executors_) {
-      total += static_cast<int64_t>(executor->block_manager.PendingSpillBytes());
-    }
-    return total;
-  });
+  summed("arbiter.overflow_events",
+         [](BlockManager& bm) { return bm.arbiter().execution_overflow_events(); });
+  summed("spill.queue_depth", [](BlockManager& bm) { return bm.SpillQueueDepth(); });
+  summed("spill.pending_bytes", [](BlockManager& bm) { return bm.PendingSpillBytes(); });
   gauge("store.memory_used_bytes",
         [this] { return static_cast<int64_t>(TotalMemoryUsed()); });
-  gauge("store.pinned_blocks", [this] {
-    int64_t total = 0;
-    for (const auto& executor : executors_) {
-      total += static_cast<int64_t>(executor->block_manager.memory().PinnedBlocks());
-    }
-    return total;
-  });
+  summed("store.pinned_blocks", [](BlockManager& bm) { return bm.memory().PinnedBlocks(); });
   gauge("shuffle.bytes_in_flight",
         [this] { return static_cast<int64_t>(shuffle_.approx_bytes()); });
   gauge("arena.live_bytes",
@@ -171,30 +146,12 @@ EngineContext::EngineContext(const EngineConfig& config)
     // plain counters the registry owns; see TenantRegistry's constructor.)
     for (TenantId t = 0; t < tenants_->num_tenants(); ++t) {
       const std::string prefix = "tenant." + tenants_->spec(t).name + ".";
-      gauge(prefix + "share_bytes", [this, t] {
-        int64_t total = 0;
-        for (const auto& executor : executors_) {
-          total +=
-              static_cast<int64_t>(executor->block_manager.arbiter().TenantShareBytes(t));
-        }
-        return total;
-      });
-      gauge(prefix + "used_bytes", [this, t] {
-        int64_t total = 0;
-        for (const auto& executor : executors_) {
-          total +=
-              static_cast<int64_t>(executor->block_manager.arbiter().TenantCacheUsed(t));
-        }
-        return total;
-      });
-      gauge(prefix + "borrowed_bytes", [this, t] {
-        int64_t total = 0;
-        for (const auto& executor : executors_) {
-          total += static_cast<int64_t>(
-              executor->block_manager.arbiter().TenantBorrowedBytes(t));
-        }
-        return total;
-      });
+      summed(prefix + "share_bytes",
+             [t](BlockManager& bm) { return bm.arbiter().TenantShareBytes(t); });
+      summed(prefix + "used_bytes",
+             [t](BlockManager& bm) { return bm.arbiter().TenantCacheUsed(t); });
+      summed(prefix + "borrowed_bytes",
+             [t](BlockManager& bm) { return bm.arbiter().TenantBorrowedBytes(t); });
       gauge(prefix + "jobs_running", [this, t] { return tenants_->RunningJobs(t); });
       gauge(prefix + "jobs_queued", [this, t] { return tenants_->QueuedJobs(t); });
       gauge(prefix + "jobs_completed", [this, t] {

@@ -74,24 +74,6 @@ bool RegisterBuiltinClosures() {
     r.ok = true;
     return r;
   });
-  // Drops a block from both tiers (incarnation-guarded).
-  reg.Register("drop_block", [](Worker& w, const TaskLaunchMsg& msg) {
-    TaskResultMsg r;
-    ByteSource src(msg.args);
-    if (src.remaining() < 16) {
-      r.error = "drop_block: short args";
-      return r;
-    }
-    BlockRemoveMsg rm;
-    rm.id.rdd_id = src.ReadPod<uint32_t>();
-    rm.id.partition = src.ReadPod<uint32_t>();
-    rm.incarnation = src.ReadPod<uint64_t>();
-    rm.include_disk = true;
-    const AckMsg ack = w.RemoveBlock(rm);
-    r.ok = ack.ok;
-    r.error = ack.error;
-    return r;
-  });
   // Fault drill: dies without unwinding, like a SIGKILL'd executor.
   reg.Register("crash", [](Worker&, const TaskLaunchMsg&) -> TaskResultMsg {
     std::abort();

@@ -10,7 +10,7 @@
 //
 // Task execution: C++ closures cannot cross a process boundary, so TaskLaunch
 // names a closure from TaskClosureRegistry — a fixed set both binaries link
-// ("ping", "sum_u64", "demote_block", "drop_block", "crash") used for
+// ("ping", "sum_u64", "demote_block", "crash") used for
 // worker-side storage maintenance, health checks, and fault drills.
 //
 // Incarnations: every put carries an incarnation number; removes are applied

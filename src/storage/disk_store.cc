@@ -182,9 +182,12 @@ std::vector<BlockId> DiskStore::Blocks() const {
 }
 
 double DiskStore::ObservedThroughput() const {
+  if (throughput_ > 0) {
+    return static_cast<double>(throughput_);
+  }
   std::lock_guard<std::mutex> lock(mu_);
   if (total_io_ms_ < 1.0) {
-    return throughput_ > 0 ? static_cast<double>(throughput_) : 500.0 * 1024 * 1024;
+    return 500.0 * 1024 * 1024;
   }
   return static_cast<double>(total_io_bytes_) / (total_io_ms_ / 1000.0);
 }

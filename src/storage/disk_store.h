@@ -61,9 +61,13 @@ class DiskStore {
   // Ids of all blocks currently stored (for coordinator sweeps).
   std::vector<BlockId> Blocks() const;
 
-  // Observed effective throughput (bytes/s) over all operations so far, or
-  // the configured value when nothing has been measured yet. Blaze's cost
-  // model profiles this at runtime (paper §5.3).
+  // Device throughput (bytes/s) for Blaze's cost model (paper §5.3). A
+  // throttled store models a device of the configured throughput and
+  // reports exactly that: its measured op times also carry CPU work (stream
+  // writes, the CRC) that a sanitizer or a loaded host inflates past the
+  // throttle target, which would skew disk costs against measured compute
+  // times. An unthrottled store reports the throughput observed over all
+  // operations so far (500 MiB/s before anything has been measured).
   double ObservedThroughput() const;
 
  private:

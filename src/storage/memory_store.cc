@@ -87,12 +87,11 @@ bool MemoryStore::PutInternal(const BlockId& id, BlockPtr data, uint64_t size_by
   }
   const uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (it != shard.blocks.end()) {
-    // Replacement: new payload and insertion recency, preserved access stats
-    // (and pins: a reader holding the old payload keeps its pin).
+    // Replacement: new payload and recency; pins are preserved (a reader
+    // holding the old payload keeps its pin).
     MemoryEntry& entry = it->second;
     entry.data = std::move(data);
     entry.size_bytes = size_bytes;
-    entry.insert_seq = seq;
     entry.last_access_seq = seq;
     entry.tenant = tenant;
     return true;
@@ -101,7 +100,6 @@ bool MemoryStore::PutInternal(const BlockId& id, BlockPtr data, uint64_t size_by
   entry.id = id;
   entry.data = std::move(data);
   entry.size_bytes = size_bytes;
-  entry.insert_seq = seq;
   entry.last_access_seq = seq;
   entry.tenant = tenant;
   shard.blocks.emplace(id, std::move(entry));
@@ -137,7 +135,6 @@ std::optional<BlockPtr> MemoryStore::Get(const BlockId& id) {
     return std::nullopt;
   }
   it->second.last_access_seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  ++it->second.access_count;
   return it->second.data;
 }
 
@@ -149,7 +146,6 @@ std::optional<BlockPtr> MemoryStore::GetAndPin(const BlockId& id) {
     return std::nullopt;
   }
   it->second.last_access_seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  ++it->second.access_count;
   ++it->second.pins;
   return it->second.data;
 }

@@ -44,9 +44,7 @@ struct MemoryEntry {
   BlockId id;
   BlockPtr data;
   uint64_t size_bytes = 0;
-  uint64_t insert_seq = 0;       // monotonically increasing insertion counter
-  uint64_t last_access_seq = 0;  // updated on Get
-  uint64_t access_count = 0;
+  uint64_t last_access_seq = 0;  // bumped on insert and on Get
   int pins = 0;                  // executing tasks holding this block
   // Owning tenant (charged against its arbiter share); kNoTenant outside
   // multi-tenant mode. Victim scans read this for the eviction floor.
@@ -72,8 +70,7 @@ class MemoryStore {
 
   // Inserts (or replaces) a block. The caller must have made room: inserting
   // beyond the capacity bound is a checked error — the coordinator owns
-  // eviction. Replacing an existing block keeps its access statistics
-  // (access_count): re-materialization is not a loss of history. `tenant`
+  // eviction. Replacing an existing block keeps its pins. `tenant`
   // tags the entry and charges the bytes to that tenant's arbiter share
   // (kNoTenant = untagged, the single-tenant default).
   void Put(const BlockId& id, BlockPtr data, uint64_t size_bytes,

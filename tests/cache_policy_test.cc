@@ -17,33 +17,17 @@
 namespace blaze {
 namespace {
 
-MemoryEntry Entry(RddId rdd, uint32_t part, uint64_t insert, uint64_t access,
-                  uint64_t count = 0) {
+MemoryEntry Entry(RddId rdd, uint32_t part, uint64_t access) {
   MemoryEntry e;
   e.id = BlockId{rdd, part};
   e.size_bytes = 100;
-  e.insert_seq = insert;
   e.last_access_seq = access;
-  e.access_count = count;
   return e;
 }
 
 TEST(PolicyTest, LruPicksLeastRecentlyUsed) {
   LruPolicy policy;
-  std::vector<MemoryEntry> entries{Entry(1, 0, 1, 9), Entry(1, 1, 2, 3), Entry(2, 0, 3, 7)};
-  EXPECT_EQ(policy.SelectVictim(entries, {}), 1u);
-}
-
-TEST(PolicyTest, FifoPicksOldestInsertion) {
-  FifoPolicy policy;
-  std::vector<MemoryEntry> entries{Entry(1, 0, 5, 9), Entry(1, 1, 2, 30), Entry(2, 0, 9, 1)};
-  EXPECT_EQ(policy.SelectVictim(entries, {}), 1u);
-}
-
-TEST(PolicyTest, LfuPicksLeastFrequentlyUsed) {
-  LfuPolicy policy;
-  std::vector<MemoryEntry> entries{Entry(1, 0, 1, 9, 5), Entry(1, 1, 2, 3, 1),
-                                   Entry(2, 0, 3, 7, 3)};
+  std::vector<MemoryEntry> entries{Entry(1, 0, 9), Entry(1, 1, 3), Entry(2, 0, 7)};
   EXPECT_EQ(policy.SelectVictim(entries, {}), 1u);
 }
 
@@ -52,7 +36,7 @@ TEST(PolicyTest, LrcPrefersLowestReferenceCount) {
   DependencyDigest digest;
   digest.ref_count[1] = 3;
   digest.ref_count[2] = 0;
-  std::vector<MemoryEntry> entries{Entry(1, 0, 1, 9), Entry(2, 0, 2, 99)};
+  std::vector<MemoryEntry> entries{Entry(1, 0, 9), Entry(2, 0, 99)};
   EXPECT_EQ(policy.SelectVictim(entries, digest), 1u);
 }
 
@@ -62,7 +46,7 @@ TEST(PolicyTest, MrdEvictsFarthestReference) {
   digest.current_stage = 1;
   digest.next_use_stage[1] = 1;  // distance 0
   digest.next_use_stage[2] = 5;  // distance 4
-  std::vector<MemoryEntry> entries{Entry(1, 0, 1, 9), Entry(2, 0, 2, 99)};
+  std::vector<MemoryEntry> entries{Entry(1, 0, 9), Entry(2, 0, 99)};
   EXPECT_EQ(policy.SelectVictim(entries, digest), 1u);
   EXPECT_TRUE(policy.ShouldPrefetch(1, digest));
   EXPECT_FALSE(policy.ShouldPrefetch(2, digest));
@@ -76,114 +60,8 @@ TEST(PolicyTest, DigestDistanceInfinityForUnknown) {
   EXPECT_EQ(digest.ReferenceDistance(42), std::numeric_limits<int>::max());
 }
 
-TEST(PolicyTest, LfuDaAgesOutOldPopularBlocks) {
-  LfuDaPolicy policy;
-  // Block A is very popular (freq 10); B..E are one-hit wonders. With pure
-  // LFU, A would never be evicted. Under dynamic aging, after enough
-  // evictions raise the cache age past A's frequency, A becomes the victim.
-  std::vector<MemoryEntry> entries{Entry(1, 0, 1, 1, 10), Entry(2, 0, 2, 2, 1),
-                                   Entry(3, 0, 3, 3, 2), Entry(4, 0, 4, 4, 3)};
-  // First eviction: the one-hit block (priority 1 + age 0).
-  size_t victim = policy.SelectVictim(entries, {});
-  EXPECT_EQ(entries[victim].id.rdd_id, 2u);
-  entries.erase(entries.begin() + victim);
-  // Keep evicting; the age climbs with each eviction's priority.
-  victim = policy.SelectVictim(entries, {});
-  EXPECT_EQ(entries[victim].id.rdd_id, 3u);
-  entries.erase(entries.begin() + victim);
-  victim = policy.SelectVictim(entries, {});
-  EXPECT_EQ(entries[victim].id.rdd_id, 4u);
-  entries.erase(entries.begin() + victim);
-  // Only the popular block remains; new blocks seen now carry high age credit,
-  // so a fresh one-hit block can outrank stale popularity.
-  entries.push_back(Entry(5, 0, 5, 5, 1));
-  victim = policy.SelectVictim(entries, {});
-  // A's priority = 10 + 0 (old credit); E's = 1 + age(>=3). A 10 vs E ~4: E
-  // still evicted; after more aging rounds A eventually goes. Evict twice.
-  EXPECT_EQ(entries[victim].id.rdd_id, 5u);
-}
-
-TEST(PolicyTest, GreedyDualSizeEvictsLargestAmongEquals) {
-  GreedyDualSizePolicy policy;
-  std::vector<MemoryEntry> entries{Entry(1, 0, 1, 1), Entry(2, 0, 2, 2), Entry(3, 0, 3, 3)};
-  entries[0].size_bytes = 100;
-  entries[1].size_bytes = 10000;  // biggest: smallest 1/size priority
-  entries[2].size_bytes = 1000;
-  EXPECT_EQ(policy.SelectVictim(entries, {}), 1u);
-}
-
-TEST(PolicyTest, GreedyDualSizeAgesCredits) {
-  GreedyDualSizePolicy policy;
-  std::vector<MemoryEntry> entries{Entry(1, 0, 1, 1), Entry(2, 0, 2, 2)};
-  entries[0].size_bytes = 1000;
-  entries[1].size_bytes = 100;
-  const size_t first = policy.SelectVictim(entries, {});
-  EXPECT_EQ(entries[first].id.rdd_id, 1u);  // bigger goes first
-  entries.erase(entries.begin() + first);
-  // A newcomer seen after the eviction inherits the raised age, so it ranks
-  // above (not below) the survivor despite equal size.
-  entries.push_back(Entry(3, 0, 3, 3));
-  entries.back().size_bytes = 100;
-  const size_t second = policy.SelectVictim(entries, {});
-  EXPECT_EQ(entries[second].id.rdd_id, 2u);
-}
-
-TEST(PolicyTest, LeCaRDelegatesToAnExpertAndRecordsHistory) {
-  LeCaRPolicy policy;
-  std::vector<MemoryEntry> entries{Entry(1, 0, 1, 5, 9), Entry(2, 0, 2, 1, 1)};
-  // Whatever expert is chosen, entry (2,0) is both LRU- and LFU-minimal.
-  EXPECT_EQ(policy.SelectVictim(entries, {}), 1u);
-}
-
-TEST(PolicyTest, LeCaRRegretShiftsWeights) {
-  LeCaRPolicy policy;
-  const double initial = policy.lru_weight();
-  // Force many evictions where LRU and LFU disagree, then report misses on
-  // blocks the LRU expert evicted: the LRU weight must drop.
-  for (uint32_t round = 0; round < 40; ++round) {
-    std::vector<MemoryEntry> entries{
-        Entry(100 + round, 0, 1, /*access=*/1, /*count=*/9),  // LRU victim
-        Entry(200 + round, 0, 2, /*access=*/9, /*count=*/1),  // LFU victim
-    };
-    const size_t victim = policy.SelectVictim(entries, {});
-    // Report a miss on whichever block went into the LRU history.
-    if (entries[victim].id.rdd_id >= 100 && entries[victim].id.rdd_id < 200) {
-      policy.OnCacheMiss(entries[victim].id);
-    }
-  }
-  EXPECT_LT(policy.lru_weight(), initial);
-}
-
-TEST(PolicyTest, LeCaRMissOnUnknownBlockIsNeutral) {
-  LeCaRPolicy policy;
-  const double initial = policy.lru_weight();
-  policy.OnCacheMiss(BlockId{999, 0});
-  EXPECT_DOUBLE_EQ(policy.lru_weight(), initial);
-}
-
-TEST(PolicyCoordinatorTest, LeCaRWorksEndToEnd) {
-  EngineConfig lecar_config;
-  lecar_config.num_executors = 1;
-  lecar_config.threads_per_executor = 1;
-  lecar_config.memory_capacity_per_executor = KiB(48);
-  EngineContext engine(lecar_config);
-  engine.SetCoordinator(std::make_unique<PolicyCoordinator>(&engine, MakePolicy("lecar"),
-                                                            EvictionMode::kMemAndDisk));
-  auto first = Generate<int>(&engine, "lc1", 2,
-                             [](uint32_t p) { return std::vector<int>(4000, (int)p); });
-  auto second = Generate<int>(&engine, "lc2", 2,
-                              [](uint32_t p) { return std::vector<int>(4000, (int)p); });
-  first->Cache();
-  second->Cache();
-  EXPECT_EQ(first->Count(), 8000u);
-  EXPECT_EQ(second->Count(), 8000u);
-  EXPECT_EQ(first->Count(), 8000u);
-  EXPECT_EQ(second->Count(), 8000u);
-  EXPECT_GT(engine.metrics().Snapshot().evictions_to_disk, 0u);
-}
-
 TEST(PolicyTest, FactoryKnowsAllNames) {
-  for (const char* name : {"lru", "fifo", "lfu", "lfuda", "gds", "lecar", "lrc", "mrd"}) {
+  for (const char* name : {"lru", "lrc", "mrd"}) {
     EXPECT_NE(MakePolicy(name), nullptr) << name;
   }
 }

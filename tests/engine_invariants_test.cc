@@ -7,14 +7,14 @@
 
 #include "src/common/units.h"
 
+#include <algorithm>
 #include <memory>
 
-#include "src/blaze/blaze_coordinator.h"
-#include "src/cache/alluxio_coordinator.h"
 #include "src/cache/policies.h"
 #include "src/cache/policy_coordinator.h"
 #include "src/dataflow/pair_rdd.h"
 #include "src/dataflow/rdd.h"
+#include "src/workloads/systems.h"
 
 namespace blaze {
 namespace {
@@ -81,56 +81,27 @@ uint64_t ReferenceFingerprint() {
   return RunFingerprintWorkload(engine);
 }
 
-struct SystemSetup {
-  std::string name;
-  std::function<void(EngineContext&)> install;
-};
-
-std::vector<SystemSetup> AllSystems() {
-  std::vector<SystemSetup> out;
-  out.push_back({"none", [](EngineContext&) {}});
-  for (const char* policy : {"lru", "fifo", "lfu", "lrc", "mrd"}) {
-    for (EvictionMode mode : {EvictionMode::kMemOnly, EvictionMode::kMemAndDisk}) {
-      std::string name = std::string(policy) +
-                         (mode == EvictionMode::kMemOnly ? "-mem" : "-disk");
-      out.push_back({name, [policy, mode](EngineContext& engine) {
-                       engine.SetCoordinator(std::make_unique<PolicyCoordinator>(
-                           &engine, MakePolicy(policy), mode));
-                     }});
-    }
-  }
-  out.push_back({"alluxio", [](EngineContext& engine) {
-                   engine.SetCoordinator(std::make_unique<AlluxioCoordinator>(&engine));
-                 }});
-  for (auto [name, options] :
-       {std::pair{"blaze-full", BlazeOptions::Full()},
-        std::pair{"blaze-auto", BlazeOptions::AutoCacheOnly()},
-        std::pair{"blaze-costaware", BlazeOptions::CostAware()},
-        std::pair{"blaze-memonly", BlazeOptions::MemoryOnly()}}) {
-    out.push_back({name, [options = options](EngineContext& engine) {
-                     engine.SetCoordinator(
-                         std::make_unique<BlazeCoordinator>(&engine, options));
-                   }});
-  }
-  return out;
-}
-
-class SystemEquivalenceTest : public ::testing::TestWithParam<size_t> {};
+// Every catalogue system, coordinator installed without a profiling run.
+class SystemEquivalenceTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SystemEquivalenceTest, FingerprintMatchesReference) {
   static const uint64_t reference = ReferenceFingerprint();
-  const SystemSetup setup = AllSystems()[GetParam()];
   EngineConfig config;
   config.num_executors = 2;
   config.threads_per_executor = 2;
   config.memory_capacity_per_executor = KiB(24);  // tight: forces evictions
   EngineContext engine(config);
-  setup.install(engine);
-  EXPECT_EQ(RunFingerprintWorkload(engine), reference) << setup.name;
+  InstallSystem(engine, GetParam());
+  EXPECT_EQ(RunFingerprintWorkload(engine), reference) << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSystems, SystemEquivalenceTest,
-                         ::testing::Range<size_t>(0, 16));
+                         ::testing::ValuesIn(AllSystemNames()),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           std::string name = info.param;
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
 
 class CapacityEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 

@@ -60,25 +60,13 @@ TEST(MemoryStoreTest, ShrinkingReplacementReleasesBytes) {
   EXPECT_EQ(arbiter.cache_used_bytes(), 400u);
 }
 
-TEST(MemoryStoreTest, ReplacePreservesAccessStats) {
-  MemoryStore store(KiB(64));
-  const BlockId id{1, 0};
-  store.Put(id, IntBlock(1, 100), 400);
-  (void)store.Get(id);
-  (void)store.Get(id);
-  store.Put(id, IntBlock(2, 200), 800);  // replacement must not reset stats
-  const auto entries = store.Entries();
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].access_count, 2u);
-  EXPECT_EQ(RowsOf<int>(entries[0].data)[0], 2);  // ...but payload is the new one
-}
-
-TEST(MemoryStoreTest, ReplaceBumpsInsertionRecency) {
+TEST(MemoryStoreTest, ReplaceSwapsPayloadAndBumpsRecency) {
   MemoryStore store(KiB(64));
   store.Put(BlockId{1, 0}, IntBlock(1, 10), 64);
   store.Put(BlockId{1, 1}, IntBlock(2, 10), 64);
   store.Put(BlockId{1, 0}, IntBlock(3, 10), 64);  // re-insert the older block
   const auto entries = store.Entries();
+  ASSERT_EQ(entries.size(), 2u);
   const MemoryEntry* replaced = nullptr;
   const MemoryEntry* untouched = nullptr;
   for (const auto& entry : entries) {
@@ -86,7 +74,7 @@ TEST(MemoryStoreTest, ReplaceBumpsInsertionRecency) {
   }
   ASSERT_NE(replaced, nullptr);
   ASSERT_NE(untouched, nullptr);
-  EXPECT_GT(replaced->insert_seq, untouched->insert_seq);
+  EXPECT_EQ(RowsOf<int>(replaced->data)[0], 3);
   EXPECT_GT(replaced->last_access_seq, untouched->last_access_seq);
 }
 
@@ -111,7 +99,7 @@ TEST(MemoryStoreTest, OverflowIsFatal) {
   EXPECT_DEATH(store.Put(BlockId{1, 0}, IntBlock(1, 1000), 4096), "overflow");
 }
 
-TEST(MemoryStoreTest, AccessBumpsRecencyAndCount) {
+TEST(MemoryStoreTest, AccessBumpsRecency) {
   MemoryStore store(KiB(64));
   store.Put(BlockId{1, 0}, IntBlock(1, 10), 64);
   store.Put(BlockId{1, 1}, IntBlock(2, 10), 64);
@@ -129,8 +117,6 @@ TEST(MemoryStoreTest, AccessBumpsRecencyAndCount) {
   ASSERT_NE(first, nullptr);
   ASSERT_NE(second, nullptr);
   EXPECT_GT(first->last_access_seq, second->last_access_seq);
-  EXPECT_EQ(first->access_count, 1u);
-  EXPECT_EQ(second->access_count, 0u);
 }
 
 class DiskStoreTest : public ::testing::Test {

@@ -29,12 +29,11 @@
 #include <thread>
 #include <vector>
 
-#include "src/cache/policies.h"
-#include "src/cache/policy_coordinator.h"
 #include "src/common/units.h"
 #include "src/dataflow/job_server.h"
 #include "src/dataflow/rdd.h"
 #include "src/dataflow/tenant.h"
+#include "src/workloads/systems.h"
 
 namespace blaze {
 namespace {
@@ -191,13 +190,11 @@ int Main(int argc, char** argv) {
     return 2;
   }
   EngineContext engine(config);
-  if (system == "spark-mem") {
-    engine.SetCoordinator(std::make_unique<PolicyCoordinator>(&engine, MakePolicy("lru"),
-                                                              EvictionMode::kMemOnly));
-  } else if (system != "none") {
+  if (system != "spark-mem" && system != "none") {
     std::cerr << "unknown --system " << system << " (spark-mem|none)\n";
     return 2;
   }
+  InstallSystem(engine, system);
 
   BlazeJobServer server(&engine, port);
   server.RegisterWorkload("iterate", IterateWorkload);

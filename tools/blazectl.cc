@@ -7,8 +7,8 @@
 //   blazectl top [--port N] [--interval-ms N] [--once] [--validate]
 //
 // Runs one (workload, system) pair and reports ACT plus the cache metrics.
-// Systems: spark-mem, spark-memdisk, alluxio, lrc, mrd, lrc-mem, mrd-mem,
-// blaze, blaze-auto, blaze-costaware, blaze-mem, blaze-noprofile, none.
+// The systems are the catalogue's (src/workloads/systems.h); `list` prints
+// them.
 //
 // `top` polls a running engine's telemetry endpoints (BLAZE_TELEMETRY_PORT)
 // and renders a live dashboard; --validate instead checks that /stats parses
@@ -25,10 +25,6 @@
 #include <string_view>
 #include <thread>
 
-#include "src/blaze/blaze_runner.h"
-#include "src/cache/alluxio_coordinator.h"
-#include "src/cache/policies.h"
-#include "src/cache/policy_coordinator.h"
 #include "src/common/http.h"
 #include "src/common/json.h"
 #include "src/common/stopwatch.h"
@@ -37,7 +33,7 @@
 #include "src/dataflow/pair_rdd.h"
 #include "src/dataflow/rdd.h"
 #include "src/metrics/report.h"
-#include "src/workloads/workload.h"
+#include "src/workloads/systems.h"
 
 namespace blaze {
 namespace {
@@ -65,9 +61,7 @@ int Usage() {
   std::cerr << "usage: blazectl list\n"
                "       blazectl graph [--shape chain|diamond|join] [--partitions N]\n"
                "       blazectl run --workload <pr|cc|lr|kmeans|gbt|svdpp>\n"
-               "                    --system <spark-mem|spark-memdisk|alluxio|lrc|mrd|\n"
-               "                              lrc-mem|mrd-mem|blaze|blaze-auto|\n"
-               "                              blaze-costaware|blaze-mem|blaze-noprofile|none>\n"
+               "                    --system <name from blazectl list>\n"
                "                    [--scale F] [--iterations N] [--partitions N]\n"
                "                    [--executors N] [--threads N] [--capacity-kib N]\n"
                "                    [--disk-mbps N] [--format table|json]\n"
@@ -132,32 +126,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
   return true;
 }
 
-void InstallSystem(EngineContext& engine, const std::string& system) {
-  auto policy_mode = [&engine](const char* policy, EvictionMode mode) {
-    engine.SetCoordinator(
-        std::make_unique<PolicyCoordinator>(&engine, MakePolicy(policy), mode));
-  };
-  if (system == "spark-mem") {
-    policy_mode("lru", EvictionMode::kMemOnly);
-  } else if (system == "spark-memdisk") {
-    policy_mode("lru", EvictionMode::kMemAndDisk);
-  } else if (system == "alluxio") {
-    engine.SetCoordinator(std::make_unique<AlluxioCoordinator>(&engine));
-  } else if (system == "lrc") {
-    policy_mode("lrc", EvictionMode::kMemAndDisk);
-  } else if (system == "mrd") {
-    policy_mode("mrd", EvictionMode::kMemAndDisk);
-  } else if (system == "lrc-mem") {
-    policy_mode("lrc", EvictionMode::kMemOnly);
-  } else if (system == "mrd-mem") {
-    policy_mode("mrd", EvictionMode::kMemOnly);
-  } else if (system == "none") {
-    // engine default: cache nothing
-  } else {
-    BLAZE_LOG(kFatal) << "unknown system " << system;
-  }
-}
-
 int RunCommand(const CliOptions& options) {
   auto workload = MakeWorkload(options.workload);
   WorkloadParams params = workload->DefaultParams();
@@ -172,27 +140,12 @@ int RunCommand(const CliOptions& options) {
   config.threads_per_executor = options.threads;
   config.memory_capacity_per_executor =
       static_cast<uint64_t>(static_cast<double>(KiB(options.capacity_kib)) * options.scale);
-  const bool memory_only = options.system == "spark-mem" || options.system == "lrc-mem" ||
-                           options.system == "mrd-mem" || options.system == "blaze-mem";
-  config.disk_throughput_bytes_per_sec = memory_only ? 0 : options.disk_mbps << 20;
+  config.disk_throughput_bytes_per_sec =
+      FindSystem(options.system).memory_only ? 0 : options.disk_mbps << 20;
   EngineContext engine(config);
 
   Stopwatch act;
-  if (options.system.rfind("blaze", 0) == 0) {
-    BlazeRunConfig run_config;
-    run_config.options = options.system == "blaze-auto" ? BlazeOptions::AutoCacheOnly()
-                         : options.system == "blaze-costaware" ? BlazeOptions::CostAware()
-                         : options.system == "blaze-mem"       ? BlazeOptions::MemoryOnly()
-                                                               : BlazeOptions::Full();
-    if (options.system != "blaze-noprofile") {
-      const WorkloadParams profiling_params = params.ForProfiling();
-      run_config.profiling_driver = workload->MakeDriver(profiling_params);
-    }
-    RunWithBlaze(engine, run_config, workload->MakeDriver(params));
-  } else {
-    InstallSystem(engine, options.system);
-    workload->MakeDriver(params)(engine);
-  }
+  RunSystem(engine, options.system, *workload, params);
   const double act_ms = act.ElapsedMillis();
   const auto snap = engine.metrics().Snapshot();
   const TaskMetrics& t = snap.total_task;
@@ -583,8 +536,11 @@ int ListCommand() {
   for (const auto& name : AllWorkloadNames()) {
     std::cout << " " << name;
   }
-  std::cout << "\nsystems: spark-mem spark-memdisk alluxio lrc mrd lrc-mem mrd-mem blaze"
-               " blaze-auto blaze-costaware blaze-mem blaze-noprofile none\n";
+  std::cout << "\nsystems:";
+  for (const auto& name : AllSystemNames()) {
+    std::cout << " " << name;
+  }
+  std::cout << "\n";
   return 0;
 }
 

@@ -86,6 +86,23 @@ spill_smoke() {
     "./$build_dir/bench/bench_fig09_end_to_end" >/dev/null
 }
 
+systems_smoke() {
+  # Catalogue smoke: every system `blazectl list` names must run a small
+  # PageRank end to end; a nonzero exit (crash, fatal check) fails CI. The
+  # list comes from the catalogue itself, so a new row is covered unedited.
+  echo "=== [plain] systems smoke ==="
+  local systems
+  systems="$(./build/tools/blazectl list | sed -n 's/^systems: //p')"
+  if [[ -z "$systems" ]]; then
+    echo "systems smoke: blazectl list printed no systems" >&2
+    exit 1
+  fi
+  for system in $systems; do
+    echo "--- $system"
+    ./build/tools/blazectl run --workload pr --scale 0.05 --system "$system" >/dev/null
+  done
+}
+
 micro_storage_smoke() {
   # Async-spill win guard: p50 task latency with the spill worker must beat
   # the inline-spill baseline by >= 1.3x (the binary enforces the bound).
@@ -212,6 +229,7 @@ perf_smoke() {
 
 if [[ "$mode" == "plain" || "$mode" == "all" ]]; then
   run_config plain build
+  systems_smoke
   trace_smoke
   spill_smoke build
   micro_storage_smoke
