@@ -3,7 +3,8 @@
 // build/teardown. FactorVec (SVD++) is intentionally several times slower per
 // byte than LabeledPoint through the row codec, reproducing the paper's §7.2
 // observation that SVD++ partitions serialize 2.5-6.4x slower; the columnar
-// layout collapses that gap to a handful of bulk column copies.
+// layout collapses that gap to a handful of bulk column copies. BM_Crc32
+// reports the checksum every disk block and net frame pays, in bytes/s.
 //
 // CI floors (enforced after the google-benchmark run, exit 1 on miss):
 //   BLAZE_MICRO_SERIALIZE_MIN_COLUMNAR_SPEEDUP  columnar vs row encode of the
@@ -13,12 +14,15 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "src/common/crc32.h"
 #include "src/common/rng.h"
 #include "src/common/stopwatch.h"
 #include "src/dataflow/typed_block.h"
@@ -181,6 +185,20 @@ void BM_ByteSizeEstimation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ByteSizeEstimation);
+
+// The CRC-32 trailer of every disk block write/read and net frame.
+void BM_Crc32(benchmark::State& state) {
+  Rng rng(7);
+  std::vector<uint8_t> buf(static_cast<size_t>(state.range(0)));
+  for (auto& b : buf) {
+    b = static_cast<uint8_t>(rng.NextU64());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(buf.data(), buf.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(buf.size()) * state.iterations());
+}
+BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(48 << 10)->Arg(256 << 10);
 
 // --- CI floors ----------------------------------------------------------------------
 

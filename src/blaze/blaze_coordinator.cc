@@ -380,10 +380,28 @@ void BlazeCoordinator::AutoUnpersist() {
                                    "refcount_zero", entry.tenant);
       }
     }
+    // Evicted to disk but still in the spill queue: cancelled here, the
+    // write never lands. A write already under way deletes its file once it
+    // commits; should that commit show in the disk walk below, the block is
+    // removed there but counted once.
+    std::vector<BlockId> revoked;
+    for (const BlockId& id : bm.PendingSpills()) {
+      if (lineage_.FutureRefCount(id.rdd_id, now, /*include_current=*/true) == 0 &&
+          bm.CancelSpill(id)) {
+        revoked.push_back(id);
+        lineage_.SetState(id.rdd_id, id.partition, PartitionState::kNone);
+        engine_->metrics().RecordUnpersist();
+        engine_->audit().Unpersist(static_cast<uint32_t>(e), id.rdd_id, id.partition,
+                                   /*size_bytes=*/0, "Blaze", "refcount_zero");
+      }
+    }
     for (const BlockId& id : bm.disk().Blocks()) {
       if (lineage_.FutureRefCount(id.rdd_id, now, /*include_current=*/true) == 0) {
         bm.CancelSpill(id);
         bm.RemoveFromDisk(id);
+        if (std::find(revoked.begin(), revoked.end(), id) != revoked.end()) {
+          continue;
+        }
         lineage_.SetState(id.rdd_id, id.partition, PartitionState::kNone);
         engine_->metrics().RecordUnpersist();
         engine_->audit().Unpersist(static_cast<uint32_t>(e), id.rdd_id, id.partition,

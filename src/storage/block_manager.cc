@@ -41,6 +41,8 @@ bool BlockManager::FetchAsync(const BlockId& id, SpillQueue::FetchCallback on_lo
 
 size_t BlockManager::SpillQueueDepth() const { return spill_->depth(); }
 
+std::vector<BlockId> BlockManager::PendingSpills() const { return spill_->PendingSpills(); }
+
 uint64_t BlockManager::PendingSpillBytes() const { return spill_->pending_spill_bytes(); }
 
 double BlockManager::SpillToDisk(const BlockId& id, const BlockData& data,

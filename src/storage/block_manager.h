@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "src/metrics/run_metrics.h"
 #include "src/storage/disk_store.h"
@@ -76,6 +77,9 @@ class BlockManager {
 
   // Depth of the spill/fetch queue right now (diagnostics).
   size_t SpillQueueDepth() const;
+
+  // Blocks whose spill is claimed but neither committed nor cancelled.
+  std::vector<BlockId> PendingSpills() const;
 
   // Payload bytes of spills claimed but not yet committed. Disk-budget
   // checks must count these as already on disk.

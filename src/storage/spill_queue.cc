@@ -129,6 +129,18 @@ size_t SpillQueue::depth() const {
   return queue_.size() + active_;
 }
 
+std::vector<BlockId> SpillQueue::PendingSpills() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<BlockId> ids;
+  ids.reserve(spills_.size());
+  for (const auto& [id, spill] : spills_) {
+    if (!spill.cancelled) {
+      ids.push_back(id);
+    }
+  }
+  return ids;
+}
+
 uint64_t SpillQueue::pending_spill_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return pending_spill_bytes_;

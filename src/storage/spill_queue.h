@@ -86,6 +86,10 @@ class SpillQueue {
 
   size_t depth() const;
 
+  // Ids of spills claimed and not yet committed or cancelled (queued or
+  // mid-write): blocks that have left memory but are not on disk yet.
+  std::vector<BlockId> PendingSpills() const;
+
   // Payload bytes of spills claimed but not yet committed to disk. Disk
   // budget checks add this to the store's committed bytes — otherwise N
   // in-flight writes all pass the same budget and overshoot it together.

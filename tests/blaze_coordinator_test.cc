@@ -6,11 +6,13 @@
 #include "src/common/units.h"
 
 #include <atomic>
+#include <future>
 
 #include "src/blaze/blaze_coordinator.h"
 #include "src/blaze/blaze_runner.h"
 #include "src/dataflow/pair_rdd.h"
 #include "src/dataflow/rdd.h"
+#include "src/metrics/registry.h"
 
 namespace blaze {
 namespace {
@@ -75,6 +77,64 @@ TEST(BlazeCoordinatorTest, AutoUnpersistsStaleIterates) {
   // Only the newest iterate (plus possibly base) should remain resident:
   // well under three iterates' worth of bytes.
   EXPECT_LT(engine.TotalMemoryUsed(), 3u * 4u * 5000u * sizeof(int));
+}
+
+// Holds an executor's spill worker inside a fetch callback until it goes out
+// of scope, so every spill enqueued meanwhile stays queued.
+class ParkedWorker {
+ public:
+  explicit ParkedWorker(BlockManager& bm) {
+    std::shared_future<void> gate = release_.get_future().share();
+    const bool queued = bm.FetchAsync(BlockId{999, 0}, [this, gate](auto, double) {
+      started_.set_value();
+      gate.wait();
+    });
+    EXPECT_TRUE(queued);
+    if (queued) {
+      started_.get_future().wait();
+    }
+  }
+  ~ParkedWorker() { release_.set_value(); }
+  ParkedWorker(const ParkedWorker&) = delete;
+  ParkedWorker& operator=(const ParkedWorker&) = delete;
+
+ private:
+  std::promise<void> started_;
+  std::promise<void> release_;
+};
+
+TEST(BlazeCoordinatorTest, AutoUnpersistCancelsQueuedSpills) {
+  // Blocks larger than memory go straight to the disk tier (CostAware, no
+  // ILP: its planning round would drain the parked queue). With the spill
+  // worker parked, a stale iterate's write is still queued when its last
+  // reference passes; the refcount-zero sweep must revoke it, not let it
+  // land on disk once the worker resumes.
+  EngineContext engine(TinyConfig(KiB(64)));
+  auto coordinator = std::make_unique<BlazeCoordinator>(&engine, BlazeOptions::CostAware());
+  BlazeCoordinator* handle = coordinator.get();
+  engine.SetCoordinator(std::move(coordinator));
+  BlockManager& bm = engine.block_manager(0);
+  const TelemetryCounter* cancelled = MetricsRegistry::Global().Counter("spill.cancelled");
+  const uint64_t cancelled_before = cancelled->Value();
+  const auto referenced = [&](const BlockId& id) {
+    return handle->lineage().FutureRefCount(id.rdd_id, handle->lineage().current_job(),
+                                            /*include_current=*/true) > 0;
+  };
+  {
+    ParkedWorker parked(bm);
+    ChainDriver(engine, 6, 30000);  // ~120 KB per partition > capacity
+    EXPECT_EQ(bm.disk().num_blocks(), 0u);
+    for (const BlockId& id : bm.PendingSpills()) {
+      EXPECT_TRUE(referenced(id)) << id.ToString() << " still queued";
+    }
+  }
+  bm.DrainSpills();
+  EXPECT_GT(bm.disk().num_blocks(), 0u);  // the live iterate did spill
+  for (const BlockId& id : bm.disk().Blocks()) {
+    EXPECT_TRUE(referenced(id)) << id.ToString() << " reached disk";
+  }
+  EXPECT_GT(cancelled->Value() - cancelled_before, 0u);
+  EXPECT_GT(engine.metrics().Snapshot().unpersists, 0u);
 }
 
 TEST(BlazeCoordinatorTest, IgnoresUserAnnotationsInAutoMode) {

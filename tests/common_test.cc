@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <cstring>
 #include <functional>
 #include <set>
 #include <vector>
 
 #include "src/common/countdown_latch.h"
+#include "src/common/crc32.h"
 #include "src/common/rng.h"
 #include "src/common/stopwatch.h"
 #include "src/common/thread_pool.h"
@@ -218,6 +221,40 @@ TEST(ScopedTimerTest, AccumulatesIntoSink) {
     }
   }
   EXPECT_GE(sink, 4.0);
+}
+
+// The byte-at-a-time CRC-32 loop, kept as an oracle for the sliced kernel.
+uint32_t Crc32Bytewise(const uint8_t* data, size_t len) {
+  static constexpr std::array<uint32_t, 256> kTable = internal::MakeCrc32Table();
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    c = kTable[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  const char* check = "123456789";
+  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check), std::strlen(check)), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  const std::array<uint8_t, 32> zeros{};
+  EXPECT_EQ(Crc32(zeros.data(), zeros.size()), 0x190A55ADu);
+}
+
+TEST(Crc32Test, MatchesBytewiseOracleAtEveryLengthAndOffset) {
+  // Every length 0..1100 from every start offset 0..7: each tail length and
+  // each alignment of the 8-byte steps against the buffer.
+  Rng rng(0xC3C32);
+  std::vector<uint8_t> buf(1100 + 8);
+  for (auto& b : buf) {
+    b = static_cast<uint8_t>(rng.NextU64());
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 1100; ++len) {
+      const uint8_t* p = buf.data() + offset;
+      ASSERT_EQ(Crc32(p, len), Crc32Bytewise(p, len)) << "offset " << offset << " len " << len;
+    }
+  }
 }
 
 }  // namespace

@@ -144,6 +144,74 @@ TEST(FrameTest, RejectsCorruptedPayload) {
   EXPECT_NE(error.find("CRC"), std::string::npos) << error;
 }
 
+// Seeded frame mutant: one to three edits, each a bit flip, a byte
+// overwrite, a truncation, or a lying length. Flips and overwrites skip the
+// high half of the length field, so no mutant makes ReadFrame allocate more
+// than a few MiB before the stream runs dry; the lies cover that half.
+std::vector<uint8_t> MutateFrame(std::vector<uint8_t> bytes, std::mt19937_64& rng) {
+  const int edits = 1 + static_cast<int>(rng() % 3);
+  for (int e = 0; e < edits && !bytes.empty(); ++e) {
+    size_t at = rng() % bytes.size();
+    if (at == 6 || at == 7) {
+      at -= 2;
+    }
+    switch (rng() % 4) {
+      case 0:
+        bytes[at] = static_cast<uint8_t>(bytes[at] ^ (1u << (rng() % 8)));
+        break;
+      case 1:
+        bytes[at] = static_cast<uint8_t>(rng());
+        break;
+      case 2:
+        bytes.resize(at);
+        break;
+      default: {
+        if (bytes.size() < 8) {
+          break;
+        }
+        uint32_t len = 0;
+        std::memcpy(&len, bytes.data() + 4, 4);
+        const uint32_t lies[] = {0,       len + 1,  len - 1,          len + 4,
+                                 len * 2, 1u << 20, kMaxFrameBytes + 1, 0xFFFFFFFFu};
+        std::memcpy(bytes.data() + 4, &lies[rng() % std::size(lies)], 4);
+      }
+    }
+  }
+  return bytes;
+}
+
+TEST(FrameTest, MutatedFramesFailCleanlyOrReturnOriginalPayload) {
+  // Every mutant either fails with an error or yields the original payload
+  // byte for byte (an edit that rewrote a byte with its own value): the CRC
+  // trailer must never let a different payload through.
+  std::mt19937_64 rng(20261019);
+  size_t crc_rejects = 0;
+  for (const size_t size : {0, 1, 7, 8, 9, 15, 16, 63, 1000, 4099}) {
+    std::vector<uint8_t> payload(size);
+    for (auto& b : payload) {
+      b = static_cast<uint8_t>(rng());
+    }
+    const std::vector<uint8_t> frame = RawFrame(payload);
+    for (int i = 0; i < 300; ++i) {
+      const std::vector<uint8_t> mutant = MutateFrame(frame, rng);
+      FdPair pair;
+      if (!mutant.empty()) {
+        SendRaw(pair.fds[0], mutant);
+      }
+      pair.CloseWriter();
+      std::vector<uint8_t> got;
+      std::string error;
+      if (ReadFrame(pair.fds[1], &got, &error)) {
+        ASSERT_EQ(got, payload) << "size " << size << " mutant " << i;
+      } else {
+        EXPECT_FALSE(error.empty());
+        crc_rejects += error.find("CRC") != std::string::npos ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(crc_rejects, 100u);  // the trailer check itself was exercised
+}
+
 TEST(FrameTest, ListenConnectRoundTrip) {
   uint16_t port = 0;
   std::string error;

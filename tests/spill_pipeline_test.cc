@@ -255,12 +255,16 @@ TEST_F(SpillPipelineTest, EvictRefusesPinnedVictimAndCancelsItsSpill) {
   const BlockId id{13, 0};
   const MemoryEntry victim = PutResident(bm, id, IntBlock(5, 4096));
   ASSERT_TRUE(bm.memory().GetAndPin(id).has_value());  // an executing task holds it
+  // Parked, the worker cannot commit the victim's write before Evict cancels
+  // it: the cancel below always meets a queued spill.
+  ParkedWorker parked(bm);
 
   TaskMetrics charge;
   EXPECT_FALSE(bm.Evict(victim, /*to_disk=*/true, &charge));
   EXPECT_TRUE(bm.memory().Contains(id));
   EXPECT_FALSE(bm.InFlightSpill(id).has_value());
   EXPECT_EQ(charge.cache_disk_bytes_written, 0u);  // the write had gone async
+  parked.Release();
   bm.DrainSpills();
   EXPECT_FALSE(bm.disk().Contains(id));
   EXPECT_EQ(cancelled->Value() - cancelled_before, 1u);

@@ -199,6 +199,38 @@ TEST_F(DiskStoreTest, CorruptedFileReadsAsMiss) {
   EXPECT_TRUE(store.Get(id, nullptr).has_value());
 }
 
+TEST_F(DiskStoreTest, SingleBitFlipAnywhereReadsAsMiss) {
+  // First payload byte, last payload byte, and the CRC trailer itself: a
+  // one-bit flip at each must fail the check, whatever 8-byte step or tail
+  // byte of the checksum loop it lands in.
+  DiskStore store(dir_, 0);
+  std::vector<uint8_t> payload(1003);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(i * 31 + 7);
+  }
+  const std::vector<std::streamoff> positions = {0, 1002, 1003, 1006};
+  uint64_t expected_failures = 0;
+  for (size_t n = 0; n < positions.size(); ++n) {
+    const BlockId id{14, static_cast<uint32_t>(n)};
+    store.Put(id, payload);
+    const std::filesystem::path file = dir_ / (id.ToString() + ".bin");
+    {
+      std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
+      ASSERT_TRUE(f.good());
+      f.seekg(positions[n]);
+      char byte = 0;
+      f.read(&byte, 1);
+      byte = static_cast<char>(byte ^ 0x10);
+      f.seekp(positions[n]);
+      f.write(&byte, 1);
+      ASSERT_TRUE(f.good());
+    }
+    EXPECT_EQ(store.Get(id, nullptr), std::nullopt) << "flip at byte " << positions[n];
+    EXPECT_EQ(store.checksum_failures(), ++expected_failures);
+    EXPECT_FALSE(store.Contains(id));
+  }
+}
+
 TEST_F(DiskStoreTest, TruncatedFileReadsAsMiss) {
   DiskStore store(dir_, 0);
   const BlockId id{11, 1};
